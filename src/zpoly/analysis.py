@@ -3,10 +3,13 @@ polynomial growth, and ultimate-polynomial diagnostics.
 
 The growth degree of a function given as a level-k Cauchy combination is
 found from below by evaluating the function on pumping families
-alpha_0 w_1^{X_1} ... w_k^{X_k} alpha_k and interpolating the resulting
-polynomials exactly.  The syntactic level is an upper bound on the degree,
-so a witness of degree equal to the level settles the question; otherwise
-the verdict carries a budget_exhausted flag.  Certified mode enumerates
+alpha_0 w_1^{X_1} ... w_k^{X_k} alpha_k and fitting the resulting
+polynomials exactly: the family is stepped through a grid of exponents in
+the minimal representation (integer arithmetic where it is integral), and
+its Newton forward differences give the polynomial and its total degree.
+The syntactic level is an upper bound on the degree, so a witness of
+degree equal to the level settles the question; otherwise the verdict
+carries a budget_exhausted flag.  Certified mode enumerates
 pump words and connectors up to a completeness bound derived from the
 factorization-forest depth; it is feasible only for tiny monoids.
 """
@@ -15,12 +18,15 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 
 from . import forests, series
 from .cplc import Cplc, PumpingPattern, product_monoid
-from .exact import MPoly, interpolate_grid
+from .exact import (MPoly, exact_entry, exact_rows, newton_coefficients, newton_degree,
+                    newton_to_mpoly, newton_values, rows_identity, rows_mul,
+                    rows_power)
 from .lang import monoid_aperiodic
 
 
@@ -64,33 +70,104 @@ class GrowthVerdict:
 # pattern polynomials
 
 
-def _family_value(rep: series.LinRep, pattern: PumpingPattern, exponents,
-                  cache: dict):
-    v = rep.I
-    v = _apply_word(rep, v, pattern.alphas[0])
-    for i, (w, alpha) in enumerate(zip(pattern.pumps, pattern.alphas[1:])):
-        m = _pump_power(rep, w, exponents[i], cache)
-        v = m.vecmat(v)
-        v = _apply_word(rep, v, alpha)
-    return sum(x * y for x, y in zip(v, rep.F))
+def _vecmat(v, cols):
+    return [sum(map(operator.mul, v, c)) for c in cols]
 
 
-def _apply_word(rep, v, word):
-    for a in word:
-        v = rep.mats[a].vecmat(v)
-    return v
+def _matvec(rows, v):
+    return [sum(map(operator.mul, r, v)) for r in rows]
 
 
-def _pump_power(rep, word, e, cache):
-    key = (word, e)
-    if key in cache:
-        return cache[key]
-    base_key = (word, 1)
-    if base_key not in cache:
-        cache[base_key] = rep.word_matrix(word)
-    m = cache[base_key].power(e) if e != 1 else cache[base_key]
-    cache[key] = m
-    return m
+class _Family:
+    """Values of one representation on pumping families, exact and in
+    Python ints wherever the representation's entries are integral.
+
+    `powers` maps (word, exponent) to mu(word)^exponent as (rows, columns).
+    One object serves every pattern of a growth_degree call, so pump words
+    shared between patterns are powered once.
+    """
+
+    def __init__(self, rep: series.LinRep):
+        self.I = [exact_entry(x) for x in rep.I]
+        self.F = [exact_entry(x) for x in rep.F]
+        self.letters = {a: exact_rows(m) for a, m in rep.mats.items()}
+        self.identity = rows_identity(rep.dim)
+        self.powers = {}
+
+    def matrix(self, word, e: int = 1):
+        key = (word, e)
+        if key not in self.powers:
+            if e == 1:
+                rows = self.identity
+                for a in word:
+                    rows = rows_mul(rows, self.letters[a])
+            else:
+                rows = rows_power(self.matrix(word)[0], e)
+            self.powers[key] = (rows, tuple(zip(*rows)))
+        return self.powers[key]
+
+    def grid_values(self, pattern: PumpingPattern, start: int, d: int, scale: int):
+        """f(alpha_0 w_1^{scale x_1} ... w_l^{scale x_l} alpha_l) for x in
+        {start .. start+d}^l, row-major.
+
+        Each pump is entered at v mu(w)^{scale start} and stepped by one
+        product with mu(w)^scale; the last pump and connector are folded
+        into F, one column per exponent, so a grid point costs one dot
+        product.
+        """
+        pumps, alphas = pattern.pumps, pattern.alphas
+        ell = len(pumps)
+        u = self.I
+        if alphas[0]:
+            u = _vecmat(u, self.matrix(alphas[0])[1])
+        if ell == 0:
+            return [sum(map(operator.mul, u, self.F))]
+        g = self.F
+        if alphas[-1]:
+            g = _matvec(self.matrix(alphas[-1])[0], g)
+        g = _matvec(self.matrix(pumps[-1], scale * start)[0], g)
+        last_step = self.matrix(pumps[-1], scale)[0]
+        columns = [g]
+        for _ in range(d):
+            columns.append(_matvec(last_step, columns[-1]))
+        out = []
+
+        def walk(j, u):
+            if j == ell - 1:
+                out.extend(sum(map(operator.mul, u, g)) for g in columns)
+                return
+            u = _vecmat(u, self.matrix(pumps[j], scale * start)[1])
+            step = self.matrix(pumps[j], scale)[1]
+            alpha = alphas[j + 1]
+            connector = self.matrix(alpha)[1] if alpha else None
+            for t in range(d + 1):
+                if t:
+                    u = _vecmat(u, step)
+                walk(j + 1, _vecmat(u, connector) if alpha else u)
+
+        walk(0, u)
+        return out
+
+    def fit(self, pattern: PumpingPattern, k: int, scale: int = 1):
+        """(x0, Newton coefficients) of the family on {x0 .. x0+k}^l.
+
+        x0 starts at 2(k+1); the fit is checked on the disjoint shifted grid
+        {x0+k+1 .. x0+2k+1}^l, and x0 is doubled once on failure.
+        """
+        ell = pattern.size
+        x0 = 2 * (k + 1)
+        for _attempt in range(2):
+            coeffs = newton_coefficients(self.grid_values(pattern, x0, k, scale), ell, k)
+            if (newton_values(coeffs, ell, k, range(k + 1, 2 * k + 2))
+                    == self.grid_values(pattern, x0 + k + 1, k, scale)):
+                return x0, coeffs
+            x0 *= 2
+        raise PatternVerificationError(
+            "family %r did not stabilize to a polynomial" % (pattern,))
+
+    def polynomial(self, pattern: PumpingPattern, k: int, scale: int = 1) -> MPoly:
+        x0, coeffs = self.fit(pattern, k, scale)
+        return newton_to_mpoly(coeffs, pattern.size, k, x0)
 
 
 def pattern_polynomial(f: Cplc, pattern: PumpingPattern, rep=None,
@@ -98,34 +175,14 @@ def pattern_polynomial(f: Cplc, pattern: PumpingPattern, rep=None,
     """The exact polynomial giving f on the pumping family for all large
     exponents.
 
-    Fits on the grid {x0 .. x0+k}^l with x0 = 2(k+1) (k the level of f) and
-    verifies on a disjoint shifted grid, doubling x0 once on failure.
-    `scale` multiplies the exponents (used by the ultimate-polynomial
-    check).
+    Fits Newton forward differences on the grid {x0 .. x0+k}^l with
+    x0 = 2(k+1) (k the level of f) and verifies on a disjoint shifted grid,
+    doubling x0 once on failure.  `scale` multiplies the exponents (used by
+    the ultimate-polynomial check).
     """
     if rep is None:
         rep = series.minimize(f.to_linrep())
-    k = f.level
-    ell = pattern.size
-    cache: dict = {}
-
-    def value_at(point):
-        return _family_value(rep, pattern, tuple(scale * x for x in point), cache)
-
-    x0 = 2 * (k + 1)
-    for _attempt in range(2):
-        poly = interpolate_grid(ell, k, x0, value_at)
-        ok = True
-        for shift_point in itertools.product(range(x0 + k + 1, x0 + 2 * k + 2),
-                                             repeat=ell):
-            if poly.eval(shift_point) != value_at(shift_point):
-                ok = False
-                break
-        if ok:
-            return poly
-        x0 *= 2
-    raise PatternVerificationError(
-        "family %r did not stabilize to a polynomial" % (pattern,))
+    return _Family(rep).polynomial(pattern, f.level, scale)
 
 
 def normalize_pattern(f: Cplc, pattern: PumpingPattern,
@@ -244,6 +301,7 @@ def growth_degree(f: Cplc, budget: SearchBudget | None = None,
         return GrowthVerdict(0, mode, False)
 
     monoid, morphism = product_monoid(f, cap=budget.monoid_cap)
+    family = _Family(rep)
     best_degree = 0
     witness = None
     witness_poly = None
@@ -267,15 +325,15 @@ def growth_degree(f: Cplc, budget: SearchBudget | None = None,
                 continue
             seen.add(norm)
             tried += 1
-            poly = pattern_polynomial(f, norm, rep=rep)
-            deg = poly.total_degree()
+            x0, coeffs = family.fit(norm, k_max)
+            deg = newton_degree(coeffs, norm.size, k_max)
             if deg > k_max:
                 raise AssertionError(
                     "pattern degree %d exceeds the syntactic level %d" % (deg, k_max))
             if deg > best_degree:
                 best_degree = deg
                 witness = norm
-                witness_poly = poly
+                witness_poly = newton_to_mpoly(coeffs, norm.size, k_max, x0)
             if best_degree == k_max:
                 return GrowthVerdict(best_degree, mode, False, witness,
                                      witness_poly, tried)
@@ -334,10 +392,11 @@ def ultimate_poly_check(f: Cplc, patterns, step: int = 1, rep=None):
     step restores polynomiality."""
     if rep is None:
         rep = series.minimize(f.to_linrep())
+    family = _Family(rep)
     out = []
     for pattern in patterns:
         try:
-            poly = pattern_polynomial(f, pattern, rep=rep, scale=step)
+            poly = family.polynomial(pattern, f.level, step)
             out.append(UltimatePolyReport(pattern, step, True, poly))
         except PatternVerificationError:
             out.append(UltimatePolyReport(pattern, step, False, None))

@@ -60,11 +60,14 @@ def load_function(path: str):
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise InputError("bad JSON in %s: %s" % (path, exc))
-        if "matrices" in data:
-            return "linrep", series.LinRep.from_json(data)
-        if "terms" in data:
+        if not isinstance(data, dict) or not {"matrices", "terms"} & data.keys():
+            raise InputError("unrecognized JSON payload in %s" % path)
+        try:
+            if "matrices" in data:
+                return "linrep", series.LinRep.from_json(data)
             return "cplc", cplc.Cplc.from_json(data)
-        raise InputError("unrecognized JSON payload in %s" % path)
+        except ValueError as exc:
+            raise InputError("%s: %s" % (path, exc))
     raise InputError("unknown input format (expected .zexpr, .zmso or .json): %s" % path)
 
 
@@ -79,8 +82,13 @@ def need_cplc(kind, value, what: str):
     return value
 
 
-def parse_word(text: str):
-    return tuple(text) if text else ()
+def parse_word(text: str, alphabet):
+    word = tuple(text)
+    for a in word:
+        if a not in alphabet:
+            raise InputError("letter %r not in the alphabet %s"
+                             % (a, " ".join(map(str, alphabet))))
+    return word
 
 
 def make_budget(args) -> SearchBudget:
@@ -126,7 +134,7 @@ def cmd_compile(args) -> int:
 
 def cmd_eval(args) -> int:
     kind, value = load_function(args.input)
-    word = parse_word(args.word)
+    word = parse_word(args.word, value.alphabet)
     if kind == "cplc":
         print(value.eval(word))
     else:
@@ -246,15 +254,24 @@ def cmd_spectrum(args) -> int:
 
 
 def load_morphism(path: str) -> lang.MonoidMorphism:
-    data = json.loads(_read(path))
+    try:
+        data = json.loads(_read(path))
+    except json.JSONDecodeError as exc:
+        raise InputError("bad JSON in %s: %s" % (path, exc))
     try:
         mon = data["monoid"]
         monoid = lang.FiniteMonoid(mon["size"],
                                    tuple(tuple(r) for r in mon["table"]),
                                    mon["unit"])
-        letters = data["letters"]
-    except (KeyError, TypeError) as exc:
+        letters = dict(data["letters"])
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError("malformed morphism JSON: %s" % exc)
+    n = monoid.size if type(monoid.size) is int else 0
+    entries = [monoid.unit, *letters.values(), *(x for row in monoid.table for x in row)]
+    if (len(monoid.table) != n or any(len(row) != n for row in monoid.table)
+            or not all(lang.is_index(x, n) for x in entries)):
+        raise InputError("malformed morphism JSON: needs a size x size table whose "
+                         "entries, unit and letter images lie in 0..size-1")
     if not monoid.check_associative():
         raise InputError("multiplication table is not associative")
     alphabet = lang.Alphabet(sorted(letters))
@@ -263,12 +280,9 @@ def load_morphism(path: str) -> lang.MonoidMorphism:
 
 def cmd_forest(args) -> int:
     morphism = load_morphism(args.morphism)
-    word = parse_word(args.word)
+    word = parse_word(args.word, morphism.alphabet)
     if not word:
         raise InputError("forest requires a nonempty word")
-    for a in word:
-        if a not in morphism.alphabet:
-            raise InputError("letter %r not in the morphism alphabet" % a)
     root = forests.simon_forest(morphism, word)
     if not forests.validate(root, morphism, word):
         print("internal error: built forest failed validation", file=sys.stderr)
@@ -382,6 +396,9 @@ def main(argv=None) -> int:
     except (lang.RegexError, cplc.ExprError, mso.MsoError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
+    except analysis.PatternVerificationError as exc:
+        print("undecided: %s" % exc)
+        return EXIT_UNDECIDED
 
 
 if __name__ == "__main__":

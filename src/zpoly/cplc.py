@@ -146,9 +146,22 @@ class Cplc:
 
     @staticmethod
     def from_json(data: dict) -> "Cplc":
-        alphabet = Alphabet(data["alphabet"])
-        terms = [(t["coef"], tuple(lang.dfa_from_json(d) for d in t["factors"]))
-                 for t in data["terms"]]
+        """Inverse of to_json; raises ValueError on a malformed payload."""
+        try:
+            alphabet = Alphabet(data["alphabet"])
+            raw = [(t["coef"], list(t["factors"])) for t in data["terms"]]
+        except KeyError as exc:
+            raise ValueError("Cauchy combination without %s" % exc) from None
+        except TypeError as exc:
+            raise ValueError("malformed Cauchy combination: %s" % exc) from None
+        terms = []
+        for coef, factors in raw:
+            if type(coef) is not int:
+                raise ValueError("coefficient %r is not an integer" % (coef,))
+            dfas = tuple(lang.dfa_from_json(d) for d in factors)
+            if any(d.alphabet != alphabet for d in dfas):
+                raise ValueError("factor alphabet differs from %r" % (alphabet.letters,))
+            terms.append((coef, dfas))
         return Cplc(alphabet, terms)
 
     def dumps(self) -> str:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 Rat = Fraction
@@ -102,6 +103,41 @@ class QMat:
 
     def __repr__(self):
         return "QMat(%r)" % (self.rows,)
+
+
+# Integer views of matrices, as tuples of rows: entries stay Python ints
+# where they are integral, so products of integral matrices never build a
+# Fraction.
+
+
+def exact_entry(x):
+    """x as an int when it is integral, else unchanged (a Fraction)."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def exact_rows(m: QMat):
+    return tuple(tuple(map(exact_entry, r)) for r in m.rows)
+
+
+def rows_identity(n: int):
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def rows_mul(a, b):
+    cols = tuple(zip(*b))
+    return tuple(tuple(exact_entry(sum(map(operator.mul, r, c))) for c in cols)
+                 for r in a)
+
+
+def rows_power(a, e: int):
+    result = rows_identity(len(a))
+    while e:
+        if e & 1:
+            result = rows_mul(result, a)
+        e >>= 1
+        if e:
+            a = rows_mul(a, a)
+    return result
 
 
 def gauss_rank(rows) -> int:
@@ -509,40 +545,79 @@ class MPoly:
         return " + ".join(parts)
 
 
+# ---------------------------------------------------------------------------
+# Newton forward differences on grids
+#
+# A function on the grid {x0 .. x0+d}^arity is stored as a flat row-major
+# list of values (first variable slowest).  Its Newton coefficients c are
+# the iterated forward differences, with
+#     f(x0 + t) = sum_i c_i * prod_j binomial(t_j, i_j),
+# so integer values give integer coefficients, and the total degree of the
+# interpolating polynomial is the largest |i| with c_i != 0.
+
+
+def _along_axes(flat, arity: int, mat):
+    """Multiply every axis of a row-major tensor of side len(mat[0]) by the
+    matrix `mat`; the result has side len(mat)."""
+    n = len(mat[0])
+    for _ in range(arity):
+        # contract the last axis; the new axis becomes the first, so after
+        # `arity` rounds the axes are back in their original order
+        chunks = [flat[r:r + n] for r in range(0, len(flat), n)]
+        flat = [sum(map(operator.mul, row, chunk)) for row in mat for chunk in chunks]
+    return flat
+
+
+def grid_points(arity: int, d: int):
+    """The multi-indices {0..d}^arity in row-major order."""
+    return itertools.product(range(d + 1), repeat=arity)
+
+
+def newton_coefficients(values, arity: int, d: int):
+    """Newton coefficients of the values on a grid of side d + 1."""
+    diff = [[(-1) ** (i - t) * math.comb(i, t) if t <= i else 0 for t in range(d + 1)]
+            for i in range(d + 1)]
+    return _along_axes(list(values), arity, diff)
+
+
+def newton_values(coeffs, arity: int, d: int, offsets):
+    """The Newton form at x0 + t for t in offsets^arity (row-major)."""
+    return _along_axes(coeffs, arity,
+                       [[math.comb(t, i) for i in range(d + 1)] for t in offsets])
+
+
+def newton_degree(coeffs, arity: int, d: int) -> int:
+    """Total degree of the Newton form, or -1 when it is zero."""
+    return max((sum(i) for i, c in zip(grid_points(arity, d), coeffs) if c),
+               default=-1)
+
+
+def newton_monomials(coeffs, arity: int, d: int, x0: int):
+    """Coefficients of the Newton form based at x0 in the monomial basis,
+    indexed like the grid (exponent i_j of variable j)."""
+    basis = [UPoly.const(1)]    # binomial(X - x0, i) as polynomials in X
+    for i in range(1, d + 1):
+        basis.append(basis[-1] * UPoly([Fraction(-(x0 + i - 1), i), Fraction(1, i)]))
+    to_mono = [[b.coeffs[p] if p < len(b.coeffs) else 0 for b in basis]
+               for p in range(d + 1)]
+    return _along_axes(coeffs, arity, to_mono)
+
+
+def newton_to_mpoly(coeffs, arity: int, d: int, x0: int) -> MPoly:
+    mono = newton_monomials(coeffs, arity, d, x0)
+    return MPoly(arity, dict(zip(grid_points(arity, d), mono)))
+
+
 def interpolate_grid(arity: int, per_var_degree: int, x0: int, value_at) -> MPoly:
-    """Exact tensor-Lagrange interpolation on the grid {x0..x0+d}^arity.
+    """Exact interpolation on the grid {x0..x0+d}^arity.
 
     `value_at` maps a grid point (tuple of ints) to a rational value.
     The result has per-variable degree at most `per_var_degree` and agrees
     with `value_at` on the whole grid.
     """
     d = per_var_degree
-    nodes = list(range(x0, x0 + d + 1))
-    # 1-d Lagrange basis polynomials, as univariate coefficient lists
-    basis = []
-    for j, xj in enumerate(nodes):
-        p = UPoly.const(1)
-        for m, xm in enumerate(nodes):
-            if m == j:
-                continue
-            p = p * UPoly([Fraction(-xm, 1) / (xj - xm), Fraction(1, xj - xm)])
-        basis.append(p)
-    if arity == 0:
-        return MPoly.const(0, value_at(()))
-    result = MPoly(arity)
-    for idx in itertools.product(range(d + 1), repeat=arity):
-        point = tuple(nodes[i] for i in idx)
-        val = _frac(value_at(point))
-        if val == 0:
-            continue
-        mono = MPoly.const(arity, val)
-        for var, i in enumerate(idx):
-            up = basis[i]
-            mp = MPoly(arity, {tuple(k if v == var else 0 for v in range(arity)): c
-                               for k, c in enumerate(up.coeffs)})
-            mono = mono * mp
-        result = result + mono
-    return result
+    values = [value_at(tuple(x0 + i for i in idx)) for idx in grid_points(arity, d)]
+    return newton_to_mpoly(newton_coefficients(values, arity, d), arity, d, x0)
 
 
 # ---------------------------------------------------------------------------
@@ -556,21 +631,9 @@ def power_sum(p: int) -> UPoly:
     """The polynomial S_p with S_p(X) = sum_{i=0}^{X} i^p for integer X >= 0."""
     if p in _POWER_SUM_CACHE:
         return _POWER_SUM_CACHE[p]
-    # interpolate on p+2 points; the sum is a polynomial of degree p+1
-    pts = list(range(p + 2))
-    vals = []
-    acc = Fraction(0)
-    for x in pts:
-        acc += Fraction(x ** p if x > 0 or p > 0 else 1)
-        vals.append(acc)
-    poly = UPoly([0])
-    for j, xj in enumerate(pts):
-        lagr = UPoly.const(vals[j])
-        for m, xm in enumerate(pts):
-            if m == j:
-                continue
-            lagr = lagr * UPoly([Fraction(-xm, xj - xm), Fraction(1, xj - xm)])
-        poly = poly + lagr
+    # the sum is a polynomial of degree p+1: p+2 values determine it
+    values = list(itertools.accumulate(x ** p for x in range(p + 2)))
+    poly = UPoly(newton_monomials(newton_coefficients(values, 1, p + 1), 1, p + 1, 0))
     _POWER_SUM_CACHE[p] = poly
     return poly
 

@@ -700,9 +700,28 @@ def dfa_to_json(dfa: Dfa) -> dict:
 
 
 def dfa_from_json(data: dict) -> Dfa:
-    alphabet = Alphabet(data["alphabet"])
-    return Dfa(alphabet, data["states"], data["initial"],
-               data["accepting"], {a: tuple(v) for a, v in data["delta"].items()})
+    """Inverse of dfa_to_json; raises ValueError on a malformed payload,
+    including state indices outside 0..states-1."""
+    try:
+        alphabet = Alphabet(data["alphabet"])
+        n, initial = data["states"], data["initial"]
+        accepting = list(data["accepting"])
+        delta = {a: list(data["delta"][a]) for a in alphabet}
+    except KeyError as exc:
+        raise ValueError("DFA without %s" % exc) from None
+    except TypeError as exc:
+        raise ValueError("malformed DFA: %s" % exc) from None
+    if type(n) is not int or n < 1:
+        raise ValueError("DFA needs a positive number of states, got %r" % (n,))
+    for q in [initial, *accepting, *(q for row in delta.values() for q in row)]:
+        if not is_index(q, n):
+            raise ValueError("DFA state %r outside 0..%d" % (q, n - 1))
+    return Dfa(alphabet, n, initial, accepting, delta)
+
+
+def is_index(q, n: int) -> bool:
+    """Whether q is an int (not a bool) in 0..n-1."""
+    return type(q) is int and 0 <= q < n
 
 
 def dfa_dumps(dfa: Dfa) -> str:

@@ -152,16 +152,34 @@ class LinRep:
 
     @staticmethod
     def from_json(data: dict) -> "LinRep":
+        """Inverse of to_json; raises ValueError on a malformed payload."""
         def dec(s):
-            if isinstance(s, str) and "/" in s:
-                p, q = s.split("/")
-                return Fraction(int(p), int(q))
-            return Fraction(int(s))
-        alphabet = Alphabet(data["alphabet"])
-        mats = {a: QMat([[dec(x) for x in row] for row in rows])
-                for a, rows in data["matrices"].items()}
-        return LinRep(alphabet, [dec(x) for x in data["initial"]], mats,
-                      [dec(x) for x in data["final"]])
+            if type(s) in (str, int):
+                p, _, q = str(s).partition("/")
+                try:
+                    return Fraction(int(p), int(q) if q else 1)
+                except (ValueError, ZeroDivisionError):
+                    pass
+            raise ValueError("not an integer or p/q fraction: %r" % (s,))
+
+        def vector(xs):
+            if not isinstance(xs, list):
+                raise ValueError("expected a list of numbers, got %r" % (xs,))
+            return [dec(x) for x in xs]
+
+        try:
+            alphabet = Alphabet(data["alphabet"])
+            initial, final, matrices = data["initial"], data["final"], data["matrices"]
+            mats = {a: matrices[a] for a in alphabet}
+        except KeyError as exc:
+            raise ValueError("linear representation without %s" % exc) from None
+        except TypeError as exc:
+            raise ValueError("malformed linear representation: %s" % exc) from None
+        if not all(isinstance(rows, list) for rows in mats.values()):
+            raise ValueError("each matrix must be a list of rows")
+        return LinRep(alphabet, vector(initial),
+                      {a: QMat([vector(row) for row in rows]) for a, rows in mats.items()},
+                      vector(final))
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), indent=2)

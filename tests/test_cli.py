@@ -193,3 +193,72 @@ def test_input_errors(files, capsys, tmp_path):
     badjson = files("bad.json", "{not json")
     code, _, err = run(capsys, "eval", badjson, "a")
     assert code == 3
+
+
+# ---------------------------------------------------------------------------
+# malformed inputs exit 3, with a message instead of a traceback
+
+LINREP = {"alphabet": ["a", "b"], "dim": 2, "initial": ["1", "0"], "final": ["0", "1"],
+          "matrices": {"a": [["1", "1"], ["0", "1"]], "b": [["1", "0"], ["0", "1"]]}}
+DFA = {"alphabet": ["a", "b"], "states": 2, "initial": 0, "accepting": [1],
+       "delta": {"a": [1, 1], "b": [0, 1]}}
+
+
+def _linrep_with(change):
+    data = json.loads(json.dumps(LINREP))
+    change(data)
+    return json.dumps(data)
+
+
+def test_ragged_matrix_exits_3(files, capsys):
+    path = files("ragged.json", _linrep_with(
+        lambda d: d["matrices"]["a"].__setitem__(1, ["1"])))
+    code, _, err = run(capsys, "eval", path, "ab")
+    assert code == 3 and "ragged" in err
+
+
+def test_missing_letter_matrix_exits_3(files, capsys):
+    path = files("missing.json", _linrep_with(lambda d: d["matrices"].pop("b")))
+    code, _, err = run(capsys, "eval", path, "ab")
+    assert code == 3 and "'b'" in err
+
+
+def test_non_numeric_entry_exits_3(files, capsys):
+    path = files("nonnum.json", _linrep_with(
+        lambda d: d["matrices"]["a"][0].__setitem__(1, "x3")))
+    code, _, err = run(capsys, "eval", path, "ab")
+    assert code == 3 and "'x3'" in err
+
+
+def test_delta_out_of_range_exits_3(files, capsys):
+    dfa = json.loads(json.dumps(DFA))
+    dfa["delta"]["b"][0] = 4
+    path = files("baddfa.json", json.dumps(
+        {"alphabet": ["a", "b"], "level": 0, "terms": [{"coef": 1, "factors": [dfa]}]}))
+    code, _, err = run(capsys, "eval", path, "ab")
+    assert code == 3 and "state 4" in err
+
+
+def test_eval_letter_outside_alphabet_exits_3(files, capsys):
+    path = files("wa.zexpr", COUNT_A_ZEXPR)
+    code, out, err = run(capsys, "eval", path, "abzab")
+    assert code == 3 and out == "" and "'z'" in err
+
+
+def test_non_json_morphism_exits_3(files, capsys):
+    path = files("badmorph.json", '{"monoid": {"size": 2, "table": [[0, 1], [1, 0]')
+    code, _, err = run(capsys, "forest", path, "ab")
+    assert code == 3 and "bad JSON" in err
+
+
+def test_pattern_verification_error_is_undecided(files, capsys, monkeypatch):
+    from zpoly import analysis
+
+    def unstable(self, pattern, k, scale=1):
+        raise analysis.PatternVerificationError("family did not stabilize")
+
+    monkeypatch.setattr(analysis._Family, "fit", unstable)
+    path = files("wa.zexpr", COUNT_A_ZEXPR)
+    for command in ("growth", "pump"):
+        code, out, _ = run(capsys, command, path)
+        assert code == 2 and "undecided: family did not stabilize" in out

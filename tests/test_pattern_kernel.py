@@ -1,0 +1,279 @@
+"""Differential tests of the pattern-polynomial kernel.
+
+The oracle below is the original evaluation path: every family value is
+computed from scratch with rational matrix powers, and the polynomial is
+fitted by tensor-Lagrange interpolation with MPoly products, then checked
+with MPoly.eval on the shifted grid.  The library instead steps integer
+vectors through the grid and fits Newton forward differences; both must
+give exactly the same polynomials and verdicts.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+
+from conftest import count_a, signed_length
+from zpoly import analysis, mso, series
+from zpoly.analysis import (PatternVerificationError, growth_degree, pattern_polynomial,
+                            ultimate_poly_check)
+from zpoly.cplc import PumpingPattern, expression_to_cplc, parse_expression
+from zpoly.exact import MPoly, QMat, UPoly, newton_degree, newton_to_mpoly
+from zpoly.lang import Alphabet
+
+# ---------------------------------------------------------------------------
+# the oracle
+
+
+def oracle_interpolate(arity, d, x0, value_at):
+    nodes = list(range(x0, x0 + d + 1))
+    basis = []
+    for j, xj in enumerate(nodes):
+        p = UPoly.const(1)
+        for m, xm in enumerate(nodes):
+            if m != j:
+                p = p * UPoly([Fraction(-xm, 1) / (xj - xm), Fraction(1, xj - xm)])
+        basis.append(p)
+    if arity == 0:
+        return MPoly.const(0, value_at(()))
+    result = MPoly(arity)
+    for idx in itertools.product(range(d + 1), repeat=arity):
+        val = Fraction(value_at(tuple(nodes[i] for i in idx)))
+        if val == 0:
+            continue
+        mono = MPoly.const(arity, val)
+        for var, i in enumerate(idx):
+            mono = mono * MPoly(arity, {tuple(k if v == var else 0 for v in range(arity)): c
+                                        for k, c in enumerate(basis[i].coeffs)})
+        result = result + mono
+    return result
+
+
+def oracle_family_value(rep, pattern, exponents, cache):
+    def apply(v, word):
+        for a in word:
+            v = rep.mats[a].vecmat(v)
+        return v
+
+    v = apply(rep.I, pattern.alphas[0])
+    for w, e, alpha in zip(pattern.pumps, exponents, pattern.alphas[1:]):
+        if (w, 1) not in cache:
+            cache[(w, 1)] = rep.word_matrix(w)
+        if (w, e) not in cache:
+            cache[(w, e)] = cache[(w, 1)].power(e)
+        v = apply(cache[(w, e)].vecmat(v), alpha)
+    return sum(x * y for x, y in zip(v, rep.F))
+
+
+def oracle_pattern_polynomial(f, pattern, rep, scale=1):
+    k, ell, cache = f.level, pattern.size, {}
+
+    def value_at(point):
+        return oracle_family_value(rep, pattern, tuple(scale * x for x in point), cache)
+
+    x0 = 2 * (k + 1)
+    for _attempt in range(2):
+        poly = oracle_interpolate(ell, k, x0, value_at)
+        if all(poly.eval(p) == value_at(p)
+               for p in itertools.product(range(x0 + k + 1, x0 + 2 * k + 2), repeat=ell)):
+            return poly
+        x0 *= 2
+    raise PatternVerificationError("family %r did not stabilize" % (pattern,))
+
+
+def test_oracle_interpolation_matches_library():
+    from zpoly.exact import interpolate_grid
+    rng = random.Random(3)
+    for _ in range(30):
+        arity, d = rng.randint(0, 3), rng.randint(0, 3)
+        values = {}
+
+        def value_at(point):
+            return values.setdefault(point, Fraction(rng.randint(-20, 20), rng.randint(1, 3)))
+
+        assert interpolate_grid(arity, d, 4, value_at) == oracle_interpolate(arity, d, 4, value_at)
+
+
+# ---------------------------------------------------------------------------
+# every pattern growth_degree fits
+
+
+def fitted_patterns(f, monkeypatch):
+    """Run growth_degree on f; return its verdict and each (pattern, MPoly)
+    the kernel fitted, in order."""
+    seen = []
+    fit = analysis._Family.fit
+
+    def recording_fit(self, pattern, k, scale=1):
+        x0, coeffs = fit(self, pattern, k, scale)
+        seen.append((pattern, newton_to_mpoly(coeffs, pattern.size, k, x0),
+                     newton_degree(coeffs, pattern.size, k)))
+        return x0, coeffs
+
+    with monkeypatch.context() as m:
+        m.setattr(analysis._Family, "fit", recording_fit)
+        verdict = growth_degree(f)
+    return verdict, seen
+
+
+def assert_matches_oracle(f, fitted):
+    rep = series.minimize(f.to_linrep())
+    for pattern, poly, degree in fitted:
+        want = oracle_pattern_polynomial(f, pattern, rep)
+        assert poly == want, pattern
+        assert degree == want.total_degree()
+
+
+@pytest.mark.parametrize("name", ["wa", "signed", "product_counts", "itimesj"])
+def test_fixture_patterns_match_oracle(name, request, monkeypatch):
+    f = request.getfixturevalue(name)
+    verdict, fitted = fitted_patterns(f, monkeypatch)
+    assert len(fitted) == verdict.patterns_tried > 0
+    assert_matches_oracle(f, fitted)
+
+
+def test_level3_patterns_match_oracle(monkeypatch):
+    f = build(LEVEL3)
+    verdict, fitted = fitted_patterns(f, monkeypatch)
+    assert verdict.patterns_tried == len(fitted) == 163
+    sample = random.Random(2).sample(fitted, 8) + [fitted[-1]]   # the witness last
+    assert_matches_oracle(f, sample)
+
+
+# ---------------------------------------------------------------------------
+# scaled exponents, non-polynomial families and rational representations
+
+
+def scaled_cases():
+    ab, a1 = Alphabet(["a", "b"]), Alphabet(["a"])
+    from conftest import _wa_times_wb
+    return [
+        (signed_length(a1), [PumpingPattern(((), ()), (("a",),)),
+                             PumpingPattern((("a",), ()), (("a", "a"),))]),
+        (count_a(ab), [PumpingPattern(((), ("b",)), (("a",),)),
+                       PumpingPattern((("b",), ("a",)), (("a", "b"),))]),
+        (_wa_times_wb(ab), [PumpingPattern(((), ("b",), ()), (("a",), ("b", "a"))),
+                            PumpingPattern((("b",), (), ("a",)), (("b",), ("a",)))]),
+    ]
+
+
+@pytest.mark.parametrize("step", [1, 2, 3])
+def test_ultimate_poly_check_matches_oracle(step):
+    outcomes = set()
+    for f, patterns in scaled_cases():
+        rep = series.minimize(f.to_linrep())
+        for report in ultimate_poly_check(f, patterns, step=step, rep=rep):
+            try:
+                want = oracle_pattern_polynomial(f, report.pattern, rep, scale=step)
+            except PatternVerificationError:
+                want = None
+            assert report.is_polynomial == (want is not None)
+            assert report.poly == want
+            outcomes.add(report.is_polynomial)
+    # (-1)^n n is not polynomial along odd steps, and is along even ones
+    assert outcomes == ({True, False} if step % 2 else {True})
+
+
+def conjugate(rep):
+    """P mu P^-1 with a rational P: the same series, non-integral entries."""
+    n = rep.dim
+    shear = QMat([[Fraction(int(i == j)) + (Fraction(1, 2) if j == i + 1 else 0)
+                   for j in range(n)] for i in range(n)])
+    unshear = QMat([[Fraction(int(i == j)) + (Fraction(-1, 2) ** (j - i) if j > i else 0)
+                     for j in range(n)] for i in range(n)])
+    diag = QMat([[Fraction(i + 2, 3) if i == j else 0 for j in range(n)] for i in range(n)])
+    undiag = QMat([[Fraction(3, i + 2) if i == j else 0 for j in range(n)] for i in range(n)])
+    p, p_inv = shear * diag, undiag * unshear
+    assert p * p_inv == QMat.identity(n)
+    return series.LinRep(rep.alphabet, p_inv.vecmat(rep.I),
+                         {a: p * m * p_inv for a, m in rep.mats.items()}, p.matvec(rep.F))
+
+
+def test_rational_representation_matches_oracle(product_counts, signed):
+    for f, patterns in [(product_counts, [PumpingPattern(((), ("b",), ()), (("a",), ("b",))),
+                                          PumpingPattern((("a",), (), ("b",)), (("a", "b"),
+                                                                                ("b",)))]),
+                        (signed, [PumpingPattern(((), ()), (("a", "a"),))])]:
+        rep = series.minimize(f.to_linrep())
+        rational = conjugate(rep)
+        assert any(x.denominator != 1 for m in rational.mats.values()
+                   for row in m.rows for x in row)
+        for pattern in patterns:
+            poly = pattern_polynomial(f, pattern, rep=rational)
+            assert poly == oracle_pattern_polynomial(f, pattern, rational)
+            assert poly == pattern_polynomial(f, pattern, rep=rep)
+    with pytest.raises(PatternVerificationError):
+        pattern_polynomial(signed, PumpingPattern(((), ()), (("a",),)),
+                           rep=conjugate(series.minimize(signed.to_linrep())))
+
+
+# ---------------------------------------------------------------------------
+# growth verdicts on the benchmark's growth functions, as the oracle path
+# computes them: (degree, budget_exhausted, patterns_tried, witness,
+# witness_poly)
+
+LEVEL3 = "alphabet = a b\ncount[x,y,z] a(x)&b(y)&a(z)&x<y&y<z\n"
+
+
+def build(text):
+    if text.split("\n", 1)[1].lstrip().startswith("count"):
+        alphabet, variables, phi = mso.parse_count(text)
+        return mso.count_to_cplc(phi, variables, alphabet)
+    alphabet, tree = parse_expression(text)
+    return expression_to_cplc(alphabet, tree)
+
+
+GROWTH_VERDICTS = {
+    'alphabet = a b\n1 * ind((a|b)*a(a|b)*b)\n':
+        (0, False, 0, 'None', 'None'),
+    'alphabet = a b\n1 * ind(bb(aa)*b)\n':
+        (0, False, 0, 'None', 'None'),
+    'alphabet = a b\ncount[x] a(x)\n':
+        (1, False, 1, '_ (aa)^X _', '2*X1'),
+    'alphabet = a b\ncount[x] b(x)\n':
+        (1, False, 10, '_ (bb)^X _', '2*X1'),
+    'alphabet = a\n1 * ind(a(aa)*) . ind(a(aa)*) + 1 * ind((aa)*) . ind((aa)*) - 1 * ind((aa)*) . ind(a(aa)*) - 1 * ind(a(aa)*) . ind((aa)*) + 1 * ind(a(aa)*) - 1 * ind((aa)*)\n':
+        (1, False, 1, '_ (aa)^X _', '2*X1'),
+    'alphabet = a\n-1 * ind(a(aa)*) . ind(a(aa)*) - 1 * ind((aa)*) . ind((aa)*) + 1 * ind((aa)*) . ind(a(aa)*) + 1 * ind(a(aa)*) . ind((aa)*) - 1 * ind(a(aa)*) + 1 * ind((aa)*)\n':
+        (1, False, 1, '_ (aa)^X _', '-2*X1'),
+    'alphabet = a b\ncount[x] (a(x) & exists y. ((y < x & b(y))))\n':
+        (1, False, 7, 'b (aa)^X _', '2*X1'),
+    'alphabet = a b c\ncount[x] (c(x) & exists y. ((y < x & a(y))))\n':
+        (1, False, 37, 'a (cc)^X _', '2*X1'),
+    'alphabet = a b\ncount[x, y] ((a(x) & a(y)) & x < y)\n':
+        (2, False, 1, '_ (aa)^X _ (aa)^X _', '-1*X2 + -1*X1 + 2*X2^2 + 4*X1*X2 + 2*X1^2'),
+    'alphabet = a b\ncount[x, y] ((b(x) & a(y)) & x < y)\n':
+        (2, False, 55, '_ (aa)^X _ (ab)^X _', '-1/2*X2 + 1/2*X2^2'),
+    'alphabet = a b c\ncount[x, y] ((a(x) & a(y)) & x < y)\n':
+        (2, False, 1, '_ (aa)^X _ (aa)^X _', '-1*X2 + -1*X1 + 2*X2^2 + 4*X1*X2 + 2*X1^2'),
+    'alphabet = a b c\ncount[x, y] ((b(x) & b(y)) & x < y)\n':
+        (2, False, 65, '_ (aa)^X _ (bb)^X _', '-1*X2 + 2*X2^2'),
+    'alphabet = a b c\ncount[x, y] ((c(x) & c(y)) & x < y)\n':
+        (2, False, 129, '_ (aa)^X _ (cc)^X _', '-1*X2 + 2*X2^2'),
+    'alphabet = a b c\ncount[x, y] ((a(x) & b(y)) & x < y)\n':
+        (2, False, 65, '_ (aa)^X _ (bb)^X _', '4*X1*X2'),
+    'alphabet = a b\ncount[x, y] ((a(x) & b(y)) & x < y)\n':
+        (2, False, 28, '_ (aa)^X _ (bb)^X _', '4*X1*X2'),
+    'alphabet = a b\ncount[x, y] ((b(x) & b(y)) & x < y)\n':
+        (2, False, 28, '_ (aa)^X _ (bb)^X _', '-1*X2 + 2*X2^2'),
+    'alphabet = a b\n1 * ind((a|b)*a) . ind((a|b)*b) . ind((a|b)*) + 1 * ind((a|b)*b) . ind((a|b)*a) . ind((a|b)*)\n':
+        (2, False, 28, '_ (aa)^X _ (bb)^X _', '4*X1*X2'),
+    'alphabet = a b\n-1 * ind((a|b)*a) . ind((a|b)*b) . ind((a|b)*) - 1 * ind((a|b)*b) . ind((a|b)*a) . ind((a|b)*)\n':
+        (2, False, 28, '_ (aa)^X _ (bb)^X _', '-4*X1*X2'),
+    'alphabet = a b\n1 * ind(a*a) . ind(a*b*b) . ind(b*)\n':
+        (2, False, 28, '_ (aa)^X _ (bb)^X _', '4*X1*X2'),
+    'alphabet = a b\n-1 * ind(a*a) . ind(a*b*b) . ind(b*)\n':
+        (2, False, 28, '_ (aa)^X _ (bb)^X _', '-4*X1*X2'),
+    'alphabet = a b\ncount[x,y,z] a(x)&b(y)&a(z)&x<y&y<z\n':
+        (3, False, 163, '_ (aa)^X _ (aa)^X _ (ab)^X _', '-1/6*X3 + -1*X2*X3 + -1*X1*X3 + 1/6*X3^3 + X2*X3^2 + X1*X3^2'),
+    'alphabet = a b\ncount[x,y] succ(x,y)&a(x)&a(y)\n':
+        (1, True, 472, '_ (aa)^X _ (aa)^X _', '-1 + 2*X2 + 2*X1'),
+}
+
+
+@pytest.mark.parametrize("text", sorted(GROWTH_VERDICTS))
+def test_growth_verdicts_unchanged(text):
+    v = growth_degree(build(text))
+    assert (v.degree, v.budget_exhausted, v.patterns_tried, repr(v.witness),
+            repr(v.witness_poly)) == GROWTH_VERDICTS[text]
