@@ -103,7 +103,7 @@ class _Family:
                     rows = rows_mul(rows, self.letters[a])
             else:
                 rows = rows_power(self.matrix(word)[0], e)
-            self.powers[key] = (rows, tuple(zip(*rows)))
+            self.powers[key] = (rows, list(zip(*rows)))
         return self.powers[key]
 
     def grid_values(self, pattern: PumpingPattern, start: int, d: int, scale: int):
@@ -146,6 +146,7 @@ class _Family:
                 walk(j + 1, _vecmat(u, connector) if alpha else u)
 
         walk(0, u)
+        del walk   # it refers to itself: free its cycle (and the family) now, not at a full gc
         return out
 
     def fit(self, pattern: PumpingPattern, k: int, scale: int = 1):

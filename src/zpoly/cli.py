@@ -1,7 +1,8 @@
 """Command line interface.
 
 Exit codes: 0 success (or "yes" for decision commands), 1 definite "no",
-2 undecided within budget, 3 malformed input.
+2 undecided within budget, 3 malformed input (usage errors and out-of-range
+options included).
 """
 
 from __future__ import annotations
@@ -11,7 +12,8 @@ import json
 import sys
 
 from . import analysis, canon, cplc, forests, lang, mso, series
-from .analysis import BudgetExhausted, CertifiedInfeasible, SearchBudget
+from .analysis import (BudgetExhausted, CertifiedInfeasible, PatternVerificationError,
+                       SearchBudget)
 from .canon import StateBudgetExceeded, UncertainConstruction
 
 EXIT_OK = 0
@@ -22,6 +24,12 @@ EXIT_INPUT = 3
 
 class InputError(ValueError):
     pass
+
+
+# Library errors that leave a question open within the budget (exit 2).
+UNDECIDED = (BudgetExhausted, CertifiedInfeasible, PatternVerificationError,
+             UncertainConstruction, StateBudgetExceeded, lang.MonoidTooLarge,
+             RecursionError)   # star_free bounds its recursion depth
 
 
 # ---------------------------------------------------------------------------
@@ -102,12 +110,23 @@ def make_budget(args) -> SearchBudget:
     )
 
 
+def at_least(least: int):
+    """argparse type for an integer option with the smallest value `least`."""
+    def parse(text):
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError("must be at least %d, got %d" % (least, value))
+        return value
+    parse.__name__ = "int"   # argparse names the type in "invalid int value"
+    return parse
+
+
 def add_budget_flags(p: argparse.ArgumentParser):
-    p.add_argument("--budget-pump-len", type=int, default=2)
-    p.add_argument("--budget-connector-len", type=int, default=1)
-    p.add_argument("--budget-sample-len", type=int, default=6)
-    p.add_argument("--budget-samples", type=int, default=200)
-    p.add_argument("--budget-max-patterns", type=int, default=20000)
+    p.add_argument("--budget-pump-len", type=at_least(0), default=2)
+    p.add_argument("--budget-connector-len", type=at_least(0), default=1)
+    p.add_argument("--budget-sample-len", type=at_least(0), default=6)
+    p.add_argument("--budget-samples", type=at_least(0), default=200)
+    p.add_argument("--budget-max-patterns", type=at_least(0), default=20000)
     p.add_argument("--seed", type=int, default=0)
 
 
@@ -168,11 +187,7 @@ def cmd_equiv(args) -> int:
         return EXIT_NO
     f = need_cplc(kind1, v1, "equiv --mod")
     g = need_cplc(kind2, v2, "equiv --mod")
-    try:
-        ok = analysis.equiv_mod_k(f, g, args.mod, make_budget(args))
-    except BudgetExhausted as exc:
-        print("undecided: %s" % exc)
-        return EXIT_UNDECIDED
+    ok = analysis.equiv_mod_k(f, g, args.mod, make_budget(args))
     print("equivalent modulo growth degree %d" % args.mod if ok
           else "distinct modulo growth degree %d" % args.mod)
     return EXIT_OK if ok else EXIT_NO
@@ -182,11 +197,7 @@ def cmd_growth(args) -> int:
     kind, value = load_function(args.input)
     f = need_cplc(kind, value, "growth")
     mode = "certified" if args.certified else "budgeted"
-    try:
-        verdict = analysis.growth_degree(f, make_budget(args), mode)
-    except CertifiedInfeasible as exc:
-        print("certified mode infeasible: %s" % exc)
-        return EXIT_UNDECIDED
+    verdict = analysis.growth_degree(f, make_budget(args), mode)
     print("degree %d%s" % (verdict.degree,
                            " (budget exhausted: lower bound only)"
                            if verdict.budget_exhausted else ""))
@@ -200,15 +211,7 @@ def cmd_rt(args) -> int:
     kind, value = load_function(args.input)
     f = need_cplc(kind, value, "rt")
     k = args.k if args.k is not None else f.level
-    try:
-        machine = canon.residual_transducer(f, k, make_budget(args),
-                                            max_states=args.max_states)
-    except UncertainConstruction as exc:
-        print("undecided: %s" % exc)
-        return EXIT_UNDECIDED
-    except StateBudgetExceeded as exc:
-        print("state budget exceeded: %s" % exc)
-        return EXIT_UNDECIDED
+    machine = canon.residual_transducer(f, k, make_budget(args), max_states=args.max_states)
     if args.format == "dot":
         print(machine.to_dot())
     elif args.format == "json":
@@ -226,11 +229,7 @@ def cmd_rt(args) -> int:
 def cmd_starfree(args) -> int:
     kind, value = load_function(args.input)
     f = need_cplc(kind, value, "starfree")
-    try:
-        verdict = canon.star_free(f, make_budget(args))
-    except (UncertainConstruction, StateBudgetExceeded) as exc:
-        print("undecided: %s" % exc)
-        return EXIT_UNDECIDED
+    verdict = canon.star_free(f, make_budget(args))
     print("star-free" if verdict.star_free else "not star-free")
     print("reason: %s" % verdict.reason)
     if verdict.witness is not None:
@@ -313,8 +312,17 @@ def cmd_pump(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class ArgumentParser(argparse.ArgumentParser):
+    """Reports a usage error as malformed input (exit 3) instead of exiting
+    with argparse's 2, which the exit-code contract reserves for undecided."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise InputError("%s: %s" % (self.prog, message))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = ArgumentParser(
         prog="zpoly",
         description="Z-polyregular functions: compile, compare, analyze.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -338,8 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("equiv", help="decide equivalence (optionally modulo growth)")
     p.add_argument("input")
     p.add_argument("input2")
-    p.add_argument("--mod", type=int, default=None,
-                   help="compare modulo growth degree k instead of exactly")
+    p.add_argument("--mod", type=at_least(-1), default=None,
+                   help="compare modulo growth degree k instead of exactly (-1: exactly)")
     add_budget_flags(p)
     p.set_defaults(func=cmd_equiv)
 
@@ -351,8 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rt", help="build the k-residual transducer")
     p.add_argument("input")
-    p.add_argument("-k", type=int, default=None)
-    p.add_argument("--max-states", type=int, default=64)
+    p.add_argument("-k", type=at_least(0), default=None)
+    p.add_argument("--max-states", type=at_least(1), default=64)
     p.add_argument("--format", choices=("json", "dot", "text"), default="text")
     add_budget_flags(p)
     p.set_defaults(func=cmd_rt)
@@ -366,8 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--mode", choices=("zero_one", "zero_union_unity"),
                    default="zero_union_unity")
-    p.add_argument("--length-bound", type=int, default=4)
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--length-bound", type=at_least(0), default=4)
+    p.add_argument("--samples", type=at_least(1), default=200)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_spectrum)
 
@@ -386,17 +394,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except InputError as exc:
+    except (InputError, lang.RegexError, cplc.ExprError, mso.MsoError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
-    except (lang.RegexError, cplc.ExprError, mso.MsoError) as exc:
-        print("input error: %s" % exc, file=sys.stderr)
-        return EXIT_INPUT
-    except analysis.PatternVerificationError as exc:
+    except UNDECIDED as exc:
         print("undecided: %s" % exc)
         return EXIT_UNDECIDED
 

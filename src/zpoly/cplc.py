@@ -187,7 +187,7 @@ def _normalize(alphabet: Alphabet, raw_terms):
         if coef == 0:
             continue
         for expanded in _expand_epsilon(tuple(fs)):
-            key = tuple(d.key() for d in expanded)
+            key = tuple([d.key() for d in expanded])
             if key not in merged:
                 merged[key] = [0, expanded]
                 order.append(key)
@@ -207,7 +207,7 @@ def _expand_epsilon(fs):
     epsilon-free part and (absorbing the unit 1_{eps}) the list without it.
     Factors with the empty language kill the term.
     """
-    fs = tuple(d.canonical() for d in fs)
+    fs = tuple([d.canonical() for d in fs])
     for i, d in enumerate(fs):
         if d.is_empty_language():
             return []
@@ -222,24 +222,30 @@ def _expand_epsilon(fs):
 
 
 def _count_splits(word, fs) -> int:
+    """Splits of word into nonempty parts u_0 .. u_{k-1} with u_i in the
+    language of fs[i], one factor at a time.  ends[pos] counts the splits of
+    word[:pos] into the parts so far; a left-to-right run of the next factor
+    with partial[q] = the splits whose open part is read up to state q gives
+    the counts for one more part."""
     if not fs:
-        return 1 if not word else 0
-    n = len(word)
-    k = len(fs)
-    # ways[i][pos] = splits of word[pos:] across factors i..k-1, nonempty parts
-    ways = [[0] * (n + 1) for _ in range(k + 1)]
-    ways[k][n] = 1
-    for i in range(k - 1, -1, -1):
-        dfa = fs[i]
-        for pos in range(n - 1, -1, -1):
-            q = dfa.initial
-            total = 0
-            for end in range(pos + 1, n + 1):
-                q = dfa.delta[word[end - 1]][q]
-                if q in dfa.accepting:
-                    total += ways[i + 1][end]
-            ways[i][pos] = total
-    return ways[0][0]
+        return int(not word)
+    ends = [1] + [0] * len(word)
+    for d in fs:
+        delta, initial, accepting = d.delta, d.initial, tuple(d.accepting)
+        partial = [0] * d.n
+        nxt = [0]
+        for a, start in zip(word, ends):
+            step = delta[a]
+            counts = [0] * d.n
+            for q, c in enumerate(partial):
+                if c:
+                    counts[step[q]] += c
+            if start:
+                counts[step[initial]] += start
+            partial = counts
+            nxt.append(sum([counts[q] for q in accepting]))
+        ends = nxt
+    return ends[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -283,11 +289,11 @@ def product_monoid(f: Cplc, cap: int = 100000):
     def compose(x, y):
         ts1, u1 = x
         ts2, u2 = y
-        return (tuple(tuple(t2[q] for q in t1) for t1, t2 in zip(ts1, ts2)),
+        return (tuple([tuple([t2[q] for q in t1]) for t1, t2 in zip(ts1, ts2)]),
                 _tracker_mul(u1, u2))
 
-    unit = (tuple(tuple(range(d.n)) for d in dfas), "1")
-    gens = {a: (tuple(d.transformation((a,)) for d in dfas), a) for a in alphabet}
+    unit = (tuple([tuple(range(d.n)) for d in dfas]), "1")
+    gens = {a: (tuple([d.transformation((a,)) for d in dfas]), a) for a in alphabet}
     monoid, morphism, _ = lang.monoid_from_generators(alphabet, gens, unit,
                                                       compose, cap=cap)
     return monoid, morphism
@@ -465,6 +471,8 @@ def _parse_expr_body(src: str):
     skip_ws()
     if pos != n:
         raise ExprError("trailing input at position %d" % pos)
+    # the parse functions refer to each other: free their cycle now, not at a full gc
+    del skip_ws, peek, expect, parse_expr, parse_term, parse_factor
     return node
 
 

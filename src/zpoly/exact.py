@@ -1,7 +1,11 @@
 """Exact rational linear algebra and polynomial utilities.
 
-Everything here works over `fractions.Fraction`; no floating point is used
-anywhere, so results are reproducible and comparisons are exact.
+No floating point is used anywhere, so results are reproducible and
+comparisons are exact.  Values are Python ints where they are integral and
+`fractions.Fraction` otherwise: the row basis scales each vector to
+integers once and eliminates fraction-free, and the integer matrix helpers
+keep integral entries as ints; the public results (coordinates, matrices,
+polynomials) are Fractions.
 """
 
 from __future__ import annotations
@@ -30,7 +34,10 @@ class QMat:
     __slots__ = ("rows", "nrows", "ncols")
 
     def __init__(self, rows):
-        self.rows = tuple(tuple(_frac(x) for x in r) for r in rows)
+        # Hot paths build tuples from lists: tuple() of a generator fills a
+        # 10-slot tuple and shrinks it, so once freed it stays in CPython's
+        # free list of its final size until the next full collection.
+        self.rows = tuple([tuple([_frac(x) for x in r]) for r in rows])
         self.nrows = len(self.rows)
         self.ncols = len(self.rows[0]) if self.rows else 0
         for r in self.rows:
@@ -73,12 +80,12 @@ class QMat:
 
     def matvec(self, v):
         """self @ v for a vector given as a tuple; returns a tuple."""
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.rows)
+        return tuple([sum(a * b for a, b in zip(row, v)) for row in self.rows])
 
     def vecmat(self, v):
         """v @ self for a row vector; returns a tuple."""
-        return tuple(sum(v[i] * self.rows[i][j] for i in range(self.nrows))
-                     for j in range(self.ncols))
+        return tuple([sum(v[i] * self.rows[i][j] for i in range(self.nrows))
+                      for j in range(self.ncols)])
 
     def transpose(self) -> "QMat":
         return QMat(list(zip(*self.rows)))
@@ -116,17 +123,17 @@ def exact_entry(x):
 
 
 def exact_rows(m: QMat):
-    return tuple(tuple(map(exact_entry, r)) for r in m.rows)
+    return tuple([tuple([exact_entry(x) for x in r]) for r in m.rows])
 
 
 def rows_identity(n: int):
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    return tuple([tuple([int(i == j) for j in range(n)]) for i in range(n)])
 
 
 def rows_mul(a, b):
-    cols = tuple(zip(*b))
-    return tuple(tuple(exact_entry(sum(map(operator.mul, r, c))) for c in cols)
-                 for r in a)
+    cols = list(zip(*b))
+    return tuple([tuple([exact_entry(sum(map(operator.mul, r, c))) for c in cols])
+                  for r in a])
 
 
 def rows_power(a, e: int):
@@ -140,115 +147,81 @@ def rows_power(a, e: int):
     return result
 
 
-def gauss_rank(rows) -> int:
-    """Rank of a list of rational row vectors."""
-    mat = [list(map(_frac, r)) for r in rows]
-    rank = 0
-    ncols = len(mat[0]) if mat else 0
-    col = 0
-    while rank < len(mat) and col < ncols:
-        pivot = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
-        if pivot is None:
-            col += 1
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        pv = mat[rank][col]
-        mat[rank] = [x / pv for x in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
-        rank += 1
-        col += 1
-    return rank
+def _integer_row(v):
+    """(s, s * v as a list of ints) for the least positive integer s that
+    clears the denominators of v (entries are ints or Fractions)."""
+    s = math.lcm(*(x.denominator for x in v))
+    return s, [x.numerator * (s // x.denominator) for x in v]
 
 
 class RowBasis:
     """Incremental basis of rational row vectors (for reachability closures).
 
+    Each inserted vector x_j is scaled to integers once, x'_j = s_j x_j.
+    The echelon rows are primitive integer rows kept in insertion order:
+    row i is zero in the pivot columns of the rows before it, and carries
+    its combination of the scaled inserted vectors,  row_i = sum_j c_ij x'_j.
+    Reducing a vector against the rows therefore also yields its
+    coordinates, and `coords` is a single elimination pass.
+
     `insert` returns True when the vector enlarged the span.  `coords`
-    expresses a vector in the current basis, or returns None when the
+    expresses a vector in the inserted vectors, or returns None when the
     vector is outside the span.
     """
 
     def __init__(self, dim: int):
         self.dim = dim
-        self.vectors = []   # raw inserted vectors, in insertion order
-        self._rref = []     # row-reduced copies
-        self._pivots = []   # pivot column of each rref row
+        self.vectors = []   # inserted vectors as Fraction tuples, in insertion order
+        self._scales = []   # s_j
+        self._rows = []     # (pivot column, echelon row, combination)
 
     def _reduce(self, v):
-        v = list(map(_frac, v))
-        for row, p in zip(self._rref, self._pivots):
-            if v[p] != 0:
-                f = v[p]
-                for j in range(self.dim):
-                    v[j] -= f * row[j]
-        return v
+        """(s, u, a, m) with  u = m s v - sum_j a_j x'_j  and u zero in
+        every pivot column; u is zero exactly when v is in the span."""
+        s, u = _integer_row(v)
+        a = [0] * len(self.vectors)
+        m = 1
+        for p, row, combo in self._rows:
+            b = u[p]
+            if not b:
+                continue
+            r = row[p]
+            g = math.gcd(r, b)
+            r //= g
+            b //= g
+            u = [r * x - b * y for x, y in zip(u, row)]
+            a = [r * x + b * y for x, y in zip(a, combo)] + [r * x for x in a[len(combo):]]
+            m *= r
+        return s, u, a, m
 
     def contains(self, v) -> bool:
-        return all(x == 0 for x in self._reduce(v))
+        return not any(self._reduce(v)[1])
 
     def insert(self, v) -> bool:
-        red = self._reduce(v)
-        pivot = next((j for j in range(self.dim) if red[j] != 0), None)
+        s, u, a, m = self._reduce(v)
+        pivot = next((j for j, x in enumerate(u) if x), None)
         if pivot is None:
             return False
-        pv = red[pivot]
-        red = [x / pv for x in red]
-        self.vectors.append(tuple(map(_frac, v)))
-        self._rref.append(red)
-        self._pivots.append(pivot)
+        # u = m x'_new - sum_j a_j x'_j, with x'_new = s v
+        combo = [-x for x in a] + [m]
+        g = math.gcd(*u, *combo)
+        if u[pivot] < 0:
+            g = -g
+        self.vectors.append(tuple([_frac(x) for x in v]))
+        self._scales.append(s)
+        self._rows.append((pivot, [x // g for x in u], [x // g for x in combo]))
         return True
 
     def coords(self, v):
         """Coefficients c with v == sum c_i * vectors[i], or None."""
-        n = len(self.vectors)
-        if n == 0:
-            return None if any(_frac(x) != 0 for x in v) else ()
-        # solve the transposed system by elimination
-        aug = [[self.vectors[i][j] for i in range(n)] + [_frac(v[j])]
-               for j in range(self.dim)]
-        sol = solve_linear(aug)
-        return None if sol is None else tuple(sol)
+        s, u, a, m = self._reduce(v)
+        if any(u):
+            return None
+        d = m * s
+        return tuple([Fraction(x * sj, d) for x, sj in zip(a, self._scales)])
 
     def __len__(self):
         return len(self.vectors)
-
-
-def solve_linear(aug):
-    """Solve an augmented system [A | b] exactly.
-
-    Returns one solution as a tuple, or None when inconsistent.  Free
-    variables are set to zero.
-    """
-    mat = [list(map(_frac, r)) for r in aug]
-    nrows = len(mat)
-    ncols = len(mat[0]) - 1 if mat else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if mat[i][c] != 0), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        pv = mat[r][c]
-        mat[r] = [x / pv for x in mat[r]]
-        for i in range(nrows):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if mat[i][ncols] != 0:
-            return None
-    sol = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        sol[c] = mat[i][ncols]
-    return tuple(sol)
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,7 @@ class Dfa:
     state).  Use `Dfa.canonical` to obtain the minimal BFS-numbered form.
     """
 
-    __slots__ = ("alphabet", "n", "initial", "accepting", "delta", "_key")
+    __slots__ = ("alphabet", "n", "initial", "accepting", "delta", "_key", "_canonical")
 
     def __init__(self, alphabet: Alphabet, n: int, initial: int,
                  accepting, delta):
@@ -69,6 +69,7 @@ class Dfa:
             if len(self.delta[a]) != n:
                 raise ValueError("incomplete transition table")
         self._key = None
+        self._canonical = False   # True once known to be in canonical form
 
     # -- structural identity -------------------------------------------------
 
@@ -76,7 +77,7 @@ class Dfa:
         if self._key is None:
             self._key = (self.alphabet.letters, self.n, self.initial,
                          tuple(sorted(self.accepting)),
-                         tuple(self.delta[a] for a in self.alphabet))
+                         tuple([self.delta[a] for a in self.alphabet]))
         return self._key
 
     def __eq__(self, other):
@@ -110,13 +111,19 @@ class Dfa:
         maps = tuple(range(self.n))
         for a in word:
             row = self.delta[a]
-            maps = tuple(row[q] for q in maps)
+            maps = tuple([row[q] for q in maps])
         return maps
 
     # -- canonicalization ------------------------------------------------------
 
     def canonical(self) -> "Dfa":
-        return _canonicalize(self)
+        """The canonical form; a DFA already in it is returned as is, so
+        that functions built from the same factors share their DFAs."""
+        if self._canonical:
+            return self
+        result = _canonicalize(self)
+        result._canonical = True
+        return result
 
     def some_accepted_word(self):
         """A shortlex-least accepted word, or None for the empty language."""
@@ -164,7 +171,7 @@ def _canonicalize(dfa: Dfa) -> Dfa:
     while True:
         sig = {}
         for q in reach:
-            sig[q] = (cls[q],) + tuple(cls[dfa.delta[a][q]] for a in dfa.alphabet)
+            sig[q] = (cls[q],) + tuple([cls[dfa.delta[a][q]] for a in dfa.alphabet])
         renum = {}
         for q in reach:
             renum.setdefault(sig[q], len(renum))
@@ -476,6 +483,8 @@ def parse_regex(text: str, alphabet: Alphabet):
     skip_ws()
     if pos != n:
         raise RegexError("trailing input at position %d" % pos)
+    # the parse functions refer to each other: free their cycle now, not at a full gc
+    del peek, skip_ws, parse_union, parse_inter, parse_concat, parse_unary, parse_atom
     return node
 
 
@@ -646,7 +655,7 @@ def transition_monoid(dfa: Dfa, cap: int = 100000):
         dfa.alphabet,
         {a: tuple(dfa.delta[a]) for a in dfa.alphabet},
         unit=tuple(range(dfa.n)),
-        compose=lambda f, g: tuple(g[q] for q in f),
+        compose=lambda f, g: tuple([g[q] for q in f]),
         cap=cap,
     )
 

@@ -11,12 +11,13 @@ their difference minimizes to dimension zero.
 from __future__ import annotations
 
 import json
+import operator
 import random
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import QMat, RowBasis, char_poly, classify_roots
+from .exact import QMat, RowBasis, char_poly, classify_roots, exact_entry, exact_rows
 from .lang import Alphabet
 
 
@@ -25,10 +26,10 @@ class LinRep:
 
     def __init__(self, alphabet: Alphabet, I, mats, F):
         self.alphabet = alphabet
-        self.I = tuple(Fraction(x) for x in I)
+        self.I = tuple([Fraction(x) for x in I])
         self.dim = len(self.I)
         self.mats = {a: (m if isinstance(m, QMat) else QMat(m)) for a, m in mats.items()}
-        self.F = tuple(Fraction(x) for x in F)
+        self.F = tuple([Fraction(x) for x in F])
         if len(self.F) != self.dim:
             raise ValueError("I/F dimension mismatch")
         for a in alphabet:
@@ -71,7 +72,7 @@ class LinRep:
 
     def scale(self, c) -> "LinRep":
         c = Fraction(c)
-        return LinRep(self.alphabet, tuple(c * x for x in self.I), self.mats, self.F)
+        return LinRep(self.alphabet, tuple([c * x for x in self.I]), self.mats, self.F)
 
     def sub(self, other: "LinRep") -> "LinRep":
         return self.add(other.scale(-1))
@@ -81,7 +82,7 @@ class LinRep:
         self._check_same_alphabet(other)
         n, m = self.dim, other.dim
         f_eps = sum(x * y for x, y in zip(self.I, self.F))
-        I = self.I + tuple(f_eps * x for x in other.I)
+        I = self.I + tuple([f_eps * x for x in other.I])
         F = (Fraction(0),) * n + other.F
         mats = {}
         for a in self.alphabet:
@@ -101,8 +102,8 @@ class LinRep:
         """(f . g)(w) = f(w) g(w), by the Kronecker construction."""
         self._check_same_alphabet(other)
         n, m = self.dim, other.dim
-        I = tuple(self.I[i] * other.I[j] for i in range(n) for j in range(m))
-        F = tuple(self.F[i] * other.F[j] for i in range(n) for j in range(m))
+        I = tuple([self.I[i] * other.I[j] for i in range(n) for j in range(m)])
+        F = tuple([self.F[i] * other.F[j] for i in range(n) for j in range(m)])
         mats = {}
         for a in self.alphabet:
             x, y = self.mats[a], other.mats[a]
@@ -191,8 +192,8 @@ class LinRep:
 def indicator(dfa) -> LinRep:
     """The 0/1 series of a regular language."""
     n = dfa.n
-    I = tuple(Fraction(int(q == dfa.initial)) for q in range(n))
-    F = tuple(Fraction(int(q in dfa.accepting)) for q in range(n))
+    I = tuple([Fraction(int(q == dfa.initial)) for q in range(n)])
+    F = tuple([Fraction(int(q in dfa.accepting)) for q in range(n)])
     mats = {}
     for a in dfa.alphabet:
         rows = [[Fraction(int(dfa.delta[a][p] == q)) for q in range(n)]
@@ -211,33 +212,33 @@ class SpanBasis:
 
 def _forward_reduce(rep: LinRep):
     """Restrict to the row space spanned by { I mu(u) }.  Returns the
-    reduced representation and the word-indexed basis."""
+    reduced representation and the word-indexed basis.
+
+    One breadth-first pass: each image v mu(a) of a basis vector is either
+    inserted (its coordinates are then a new unit vector) or expressed in
+    the basis found so far, which is a prefix of the final basis."""
     basis = RowBasis(rep.dim)
-    words = []
-    queue = deque()
-    if basis.insert(rep.I):
-        words.append(())
-        queue.append(((), rep.I))
-    while queue:
-        w, v = queue.popleft()
-        for a in rep.alphabet:
-            v2 = rep.mats[a].vecmat(v)
-            if basis.insert(v2):
-                words.append(w + (a,))
-                queue.append((w + (a,), v2))
-    m = len(basis)
-    if m == 0:
+    start = tuple([exact_entry(x) for x in rep.I])
+    if not basis.insert(start):
         zero = LinRep(rep.alphabet, (), {a: QMat([]) for a in rep.alphabet}, ())
         return zero, SpanBasis([], [])
-    mats = {}
-    for a in rep.alphabet:
-        rows = []
-        for bv in basis.vectors:
-            v2 = rep.mats[a].vecmat(bv)
-            rows.append(basis.coords(v2))
-        mats[a] = QMat(rows)
-    I = basis.coords(rep.I)
-    F = tuple(sum(bv[j] * rep.F[j] for j in range(rep.dim)) for bv in basis.vectors)
+    cols = {a: list(zip(*exact_rows(rep.mats[a]))) for a in rep.alphabet}
+    words, queue = [()], [start]
+    images = {a: [] for a in rep.alphabet}
+    for w, v in zip(words, queue):   # both grow while the loop runs
+        for a in rep.alphabet:
+            v2 = tuple([exact_entry(sum(map(operator.mul, v, c))) for c in cols[a]])
+            c = basis.coords(v2)
+            if c is None:
+                basis.insert(v2)
+                c = (0,) * len(queue) + (1,)
+                words.append(w + (a,))
+                queue.append(v2)
+            images[a].append(c)
+    m = len(basis)
+    mats = {a: QMat([c + (0,) * (m - len(c)) for c in rows]) for a, rows in images.items()}
+    I = (1,) + (0,) * (m - 1)
+    F = tuple([sum(map(operator.mul, v, rep.F)) for v in queue])
     return LinRep(rep.alphabet, I, mats, F), SpanBasis(words, list(basis.vectors))
 
 
@@ -316,6 +317,8 @@ def spectrum_probe(rep: LinRep, mode: str, length_bound: int = 4,
     (polynomial-growth side).  Exhaustive over all words up to the length
     bound when that is feasible, otherwise a seeded random sample.
     """
+    if length_bound < 0 or sample_count < 1:
+        raise ValueError("spectrum_probe needs length_bound >= 0 and sample_count >= 1")
     letters = list(rep.alphabet.letters)
     total = sum(len(letters) ** k for k in range(length_bound + 1))
     words = []

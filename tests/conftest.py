@@ -7,6 +7,7 @@ its bugs.
 """
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -58,6 +59,53 @@ def brute_star(f, word):
             prod *= f(p)
         total += prod
     return total
+
+
+def gauss_rank(rows) -> int:
+    """Rank of a list of rational row vectors, by Gauss-Jordan elimination
+    over Fraction."""
+    mat = [list(map(Fraction, r)) for r in rows]
+    rank = 0
+    ncols = len(mat[0]) if mat else 0
+    col = 0
+    while rank < len(mat) and col < ncols:
+        pivot = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
+        if pivot is None:
+            col += 1
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        pv = mat[rank][col]
+        mat[rank] = [x / pv for x in mat[rank]]
+        for i in range(len(mat)):
+            if i != rank and mat[i][col] != 0:
+                f = mat[i][col]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
+        rank += 1
+        col += 1
+    return rank
+
+
+def count_splits(word, fs) -> int:
+    """Splits of word into nonempty parts, part i in the language of the DFA
+    fs[i], counted by restarting every factor DFA at every position."""
+    if not fs:
+        return 1 if not word else 0
+    n = len(word)
+    k = len(fs)
+    # ways[i][pos] = splits of word[pos:] across factors i..k-1, nonempty parts
+    ways = [[0] * (n + 1) for _ in range(k + 1)]
+    ways[k][n] = 1
+    for i in range(k - 1, -1, -1):
+        dfa = fs[i]
+        for pos in range(n - 1, -1, -1):
+            q = dfa.initial
+            total = 0
+            for end in range(pos + 1, n + 1):
+                q = dfa.delta[word[end - 1]][q]
+                if q in dfa.accepting:
+                    total += ways[i + 1][end]
+            ways[i][pos] = total
+    return ways[0][0]
 
 
 # ---------------------------------------------------------------------------

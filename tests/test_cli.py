@@ -262,3 +262,83 @@ def test_pattern_verification_error_is_undecided(files, capsys, monkeypatch):
     for command in ("growth", "pump"):
         code, out, _ = run(capsys, command, path)
         assert code == 2 and "undecided: family did not stabilize" in out
+
+
+# ---------------------------------------------------------------------------
+# out-of-range options and usage errors exit 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "{f}", "--length-bound", "-1"],
+    ["spectrum", "{f}", "--samples", "-3", "--length-bound", "9"],
+    ["spectrum", "{f}", "--samples", "0"],
+    ["rt", "{f}", "--max-states", "-1"],
+    ["rt", "{f}", "--max-states", "0"],
+    ["rt", "{f}", "-k", "-1"],
+    ["equiv", "{f}", "{f}", "--mod", "-2"],
+    *(["growth", "{f}", flag, "-1"] for flag in (
+        "--budget-pump-len", "--budget-connector-len", "--budget-sample-len",
+        "--budget-samples", "--budget-max-patterns")),
+])
+def test_out_of_range_option_exits_3(files, capsys, argv):
+    path = files("wa.zexpr", COUNT_A_ZEXPR)
+    code, out, err = run(capsys, *(a.replace("{f}", path) for a in argv))
+    assert code == 3 and out == "" and "must be at least" in err
+
+
+def test_mod_minus_one_still_means_exact(files, capsys):
+    f = files("wa.zexpr", COUNT_A_ZEXPR)
+    g = files("twice.zexpr", "alphabet = a b\n2 * ind((a|b)*a) . ind((a|b)*)\n")
+    assert run(capsys, "equiv", f, f, "--mod", "-1")[0] == 0
+    assert run(capsys, "equiv", f, g, "--mod", "-1")[0] == 1
+
+
+@pytest.mark.parametrize("argv", [["growth"], ["growth", "x.zexpr", "--bogus"], ["nope"],
+                                  ["spectrum", "x.zexpr", "--samples", "many"]])
+def test_usage_errors_exit_3(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == "" and "input error" in err
+
+
+# ---------------------------------------------------------------------------
+# library errors that leave the question open exit 2
+
+
+def test_monoid_too_large_is_undecided(files, capsys, monkeypatch):
+    from zpoly import analysis, lang
+
+    def too_large(f, cap=100000):
+        raise lang.MonoidTooLarge("monoid closure exceeded cap %d" % cap)
+
+    monkeypatch.setattr(analysis, "product_monoid", too_large)
+    path = files("wa.zexpr", COUNT_A_ZEXPR)
+    code, out, _ = run(capsys, "growth", path)
+    assert code == 2 and "undecided: monoid closure exceeded" in out
+
+
+def test_certified_infeasible_outside_growth_is_undecided(files, capsys, monkeypatch):
+    from zpoly import analysis
+
+    def infeasible(f, budget=None, mode="budgeted"):
+        raise analysis.CertifiedInfeasible("needs more than 5 pump candidates")
+
+    monkeypatch.setattr(analysis, "growth_degree", infeasible)
+    path = files("wa.zexpr", COUNT_A_ZEXPR)
+    for command in ("pump", "starfree"):
+        code, out, _ = run(capsys, command, path)
+        assert code == 2 and "undecided: needs more than 5" in out
+
+
+def test_star_free_recursion_limit_is_undecided(files, capsys, monkeypatch):
+    from zpoly import canon
+
+    real = canon.star_free
+
+    def shallow(f, budget=None, _depth=0):
+        # the first recursion into a transition label is already too deep
+        return real(f, budget, 17 * _depth)
+
+    monkeypatch.setattr(canon, "star_free", shallow)
+    path = files("wa.zexpr", COUNT_A_ZEXPR)
+    code, out, _ = run(capsys, "starfree", path)
+    assert code == 2 and "undecided: star-freeness recursion too deep" in out

@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_cauchy, words_up_to
-from zpoly.cplc import (Cplc, ExprError, PumpingPattern, constant_cplc,
+from conftest import brute_cauchy, count_splits, words_up_to
+from zpoly.cplc import (Cplc, ExprError, PumpingPattern, _count_splits, constant_cplc,
                         expression_to_cplc, expression_to_linrep,
                         expression_uses_star, indicator_cplc,
                         parse_expression, product_monoid, zero_cplc)
-from zpoly.lang import Alphabet, compile_regex
+from zpoly.lang import Alphabet, Dfa, compile_regex
 from zpoly.series import minimize
 
 AB = Alphabet(["a", "b"])
@@ -167,3 +167,24 @@ def test_cauchy_associativity(w):
     z = indicator_cplc(compile_regex("(a|b)*", AB))
     w = tuple(w)
     assert x.cauchy(y).cauchy(z).eval(w) == x.cauchy(y.cauchy(z)).eval(w)
+
+
+@st.composite
+def dfas(draw):
+    n = draw(st.integers(1, 4))
+    states = st.integers(0, n - 1)
+    delta = {a: draw(st.lists(states, min_size=n, max_size=n)) for a in AB}
+    return Dfa(AB, n, 0, draw(st.sets(states)), delta)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(-3, 3), st.lists(dfas(), max_size=4)), max_size=4),
+       st.lists(st.sampled_from(["a", "b"]), max_size=14))
+def test_eval_matches_split_oracle(raw_terms, w):
+    """Cplc.eval (one left-to-right run per factor) against restarting every
+    factor DFA at every position, on normalized and raw factor lists."""
+    w = tuple(w)
+    f = Cplc(AB, raw_terms)
+    assert f.eval(w) == sum(coef * count_splits(w, fs) for coef, fs in f.terms)
+    for _, fs in raw_terms:
+        assert _count_splits(w, tuple(fs)) == count_splits(w, tuple(fs))

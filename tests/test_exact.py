@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import gauss_rank
 from zpoly.exact import (MPoly, QMat, RowBasis, UPoly, char_poly,
-                         classify_roots, cyclotomic, euler_phi, gauss_rank,
-                         interpolate_grid, poly_cauchy, power_sum,
-                         solve_linear)
+                         classify_roots, cyclotomic, euler_phi,
+                         interpolate_grid, poly_cauchy, power_sum)
 
 
 def test_qmat_algebra():
@@ -50,11 +50,50 @@ def test_row_basis_coords():
     assert recon == [3, 2, 0]
 
 
-def test_solve_linear():
-    # x + y = 3, x - y = 1  ->  x = 2, y = 1
-    sol = solve_linear([[1, 1, 3], [1, -1, 1]])
-    assert sol == (2, 1)
-    assert solve_linear([[1, 1, 0], [1, 1, 1]]) is None
+def _entries(draw_fractions):
+    ints = st.integers(-4, 4)
+    if not draw_fractions:
+        return ints
+    return st.builds(Fraction, ints, st.integers(1, 3))
+
+
+@st.composite
+def vector_families(draw):
+    """A dimension, vectors to insert and probes, with entries either all
+    ints or Fractions; probes include combinations of the inserted vectors."""
+    dim = draw(st.integers(1, 5))
+    entry = _entries(draw(st.booleans()))
+    vec = st.lists(entry, min_size=dim, max_size=dim)
+    vectors = draw(st.lists(vec, max_size=7))
+    probes = draw(st.lists(vec, max_size=3))
+    for _ in range(draw(st.integers(0, 3))):
+        coefs = draw(st.lists(entry, min_size=len(vectors), max_size=len(vectors)))
+        probes.append([sum((c * v[j] for c, v in zip(coefs, vectors)), Fraction(0))
+                       for j in range(dim)])
+    return dim, vectors, probes
+
+
+@settings(max_examples=150, deadline=None)
+@given(vector_families())
+def test_row_basis_against_rank_oracle(family):
+    dim, vectors, probes = family
+    basis = RowBasis(dim)
+    seen = []
+    for v in vectors:
+        grows = gauss_rank(seen + [v]) > gauss_rank(seen)
+        assert basis.insert(v) == grows
+        seen.append(v)
+        assert len(basis) == gauss_rank(seen)
+    assert all(type(x) is Fraction for bv in basis.vectors for x in bv)
+    for v in probes + vectors:
+        coords = basis.coords(v)
+        inside = gauss_rank(list(basis.vectors) + [v]) == len(basis)
+        assert (coords is not None) == inside == basis.contains(v)
+        if coords is not None:
+            assert len(coords) == len(basis)
+            assert all(type(c) is Fraction for c in coords)
+            assert [sum(c * bv[j] for c, bv in zip(coords, basis.vectors))
+                    for j in range(dim)] == list(v)
 
 
 def test_upoly_divmod():

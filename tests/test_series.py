@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_cauchy, brute_hadamard, brute_star, words_up_to
+from conftest import brute_cauchy, brute_hadamard, brute_star, gauss_rank, words_up_to
 from zpoly.exact import QMat
 from zpoly.lang import Alphabet, compile_regex
 from zpoly.series import (LinRep, distinguishing_word, equivalent, indicator,
@@ -110,7 +110,6 @@ def test_reduce_minimize_bases():
     assert len(rows.words) == 2 and len(cols.words) == 2
     # basis words index a full-rank block of the Hankel matrix
     h = [[rep.eval(u + v) for v in cols.words] for u in rows.words]
-    from zpoly.exact import gauss_rank
     assert gauss_rank(h) == 2
 
 
@@ -148,6 +147,14 @@ def test_spectrum_exponential_fails():
 def test_spectrum_star_free_indicator():
     rep = minimize(indicator(compile_regex("a(a|b)*b", AB)))
     assert spectrum_probe(rep, "zero_one").ok
+
+
+def test_spectrum_probe_rejects_empty_evidence():
+    rep = minimize(signed_length_rep())
+    with pytest.raises(ValueError):
+        spectrum_probe(rep, "zero_one", length_bound=-1)
+    with pytest.raises(ValueError):
+        spectrum_probe(rep, "zero_one", length_bound=9, sample_count=0)
 
 
 @settings(max_examples=40, deadline=None)
