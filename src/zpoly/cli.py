@@ -8,6 +8,7 @@ options included).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -321,7 +322,11 @@ class ArgumentParser(argparse.ArgumentParser):
         raise InputError("%s: %s" % (self.prog, message))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by later calls of `main`:
+    each parse fills a fresh namespace from the defaults, so no option
+    value carries over from one call to the next."""
     parser = ArgumentParser(
         prog="zpoly",
         description="Z-polyregular functions: compile, compare, analyze.")

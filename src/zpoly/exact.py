@@ -126,6 +126,17 @@ def exact_rows(m: QMat):
     return tuple([tuple([exact_entry(x) for x in r]) for r in m.rows])
 
 
+def common_denominator(xs) -> int:
+    """The least positive d such that d x is an integer for every x in xs
+    (ints or Fractions)."""
+    return math.lcm(*(x.denominator for x in xs))
+
+
+def integer_row(v, d: int):
+    """d v as a list of ints; d must be a multiple of common_denominator(v)."""
+    return [x.numerator * (d // x.denominator) for x in v]
+
+
 def rows_identity(n: int):
     return tuple([tuple([int(i == j) for j in range(n)]) for i in range(n)])
 
@@ -145,13 +156,6 @@ def rows_power(a, e: int):
         if e:
             a = rows_mul(a, a)
     return result
-
-
-def _integer_row(v):
-    """(s, s * v as a list of ints) for the least positive integer s that
-    clears the denominators of v (entries are ints or Fractions)."""
-    s = math.lcm(*(x.denominator for x in v))
-    return s, [x.numerator * (s // x.denominator) for x in v]
 
 
 class RowBasis:
@@ -178,7 +182,8 @@ class RowBasis:
     def _reduce(self, v):
         """(s, u, a, m) with  u = m s v - sum_j a_j x'_j  and u zero in
         every pivot column; u is zero exactly when v is in the span."""
-        s, u = _integer_row(v)
+        s = common_denominator(v)
+        u = integer_row(v, s)
         a = [0] * len(self.vectors)
         m = 1
         for p, row, combo in self._rows:
@@ -337,20 +342,29 @@ class UPoly:
 
 
 def char_poly(m: QMat) -> UPoly:
-    """Characteristic polynomial via the Faddeev-LeVerrier recurrence."""
+    """Characteristic polynomial det(X - m), by the Faddeev-LeVerrier
+    recurrence run on integers.
+
+    With d the lcm of the denominators of m, B = d m is an integer matrix.
+    The recurrence  M_1 = B,  c_k = -tr(M_k) / k,  M_{k+1} = (M_k + c_k) B
+    keeps every M_k and c_k integral (c_k is a coefficient of det(X - B),
+    so the division by k is exact).  Since det(X - m) = d^-n det(dX - B),
+    the coefficient of X^(n-i) in det(X - m) is c_i / d^i.
+    """
     n = m.nrows
     if n != m.ncols:
         raise ValueError("not square")
-    coeffs = [Fraction(1)]  # c_0 = 1 (leading)
-    mk = QMat.identity(n)
+    d = common_denominator(x for r in m.rows for x in r)
+    b = [integer_row(r, d) for r in m.rows]
+    coeffs = [1]    # c_0 .. c_n, for X^n .. X^0
+    mk = b
     for k in range(1, n + 1):
-        mk = m * mk
-        ck = -mk.trace() / k
+        ck = -sum(mk[i][i] for i in range(n)) // k
         coeffs.append(ck)
         if k < n:
-            mk = mk + QMat.identity(n).scale(ck)
-    # coeffs are for X^n, X^{n-1}, ..., X^0
-    return UPoly(list(reversed(coeffs)))
+            mk = rows_mul([[x + ck if i == j else x for j, x in enumerate(row)]
+                           for i, row in enumerate(mk)], b)
+    return UPoly([Fraction(c, d ** i) for i, c in reversed(list(enumerate(coeffs)))])
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ their difference minimizes to dimension zero.
 
 from __future__ import annotations
 
+import itertools
 import json
 import operator
 import random
@@ -17,7 +18,8 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import QMat, RowBasis, char_poly, classify_roots, exact_entry, exact_rows
+from .exact import (QMat, RowBasis, char_poly, classify_roots, common_denominator,
+                    exact_entry, exact_rows, integer_row, rows_identity, rows_mul)
 from .lang import Alphabet
 
 
@@ -316,28 +318,44 @@ def spectrum_probe(rep: LinRep, mode: str, length_bound: int = 4,
     mode "zero_union_unity": spectra must lie in roots of unity and 0
     (polynomial-growth side).  Exhaustive over all words up to the length
     bound when that is feasible, otherwise a seeded random sample.
+
+    The letter matrices are scaled once to integer rows A_a = d mu(a), d
+    the lcm of their denominators, so mu(w) = A_w / d^|w|.  The words are
+    checked in sorted order with a stack of the previous word's prefix
+    products: a word shares the stack up to its common prefix with the
+    previous one, which in sorted order is its longest common prefix with
+    any earlier word, so each distinct prefix costs one integer product.
     """
     if length_bound < 0 or sample_count < 1:
         raise ValueError("spectrum_probe needs length_bound >= 0 and sample_count >= 1")
     letters = list(rep.alphabet.letters)
-    total = sum(len(letters) ** k for k in range(length_bound + 1))
-    words = []
+    total, k = 1, 0     # words of length <= k, counted until past the budget
+    while k < length_bound and total <= sample_count:
+        k += 1
+        total += len(letters) ** k
     if total <= sample_count:
-        def gen(prefix, k):
-            words.append(tuple(prefix))
-            if k == 0:
-                return
-            for a in letters:
-                gen(prefix + [a], k - 1)
-        gen([], length_bound)
+        words = [w for k in range(length_bound + 1)
+                 for w in itertools.product(letters, repeat=k)]
     else:
         rng = random.Random(seed)
+        words = []
         for _ in range(sample_count):
             k = rng.randint(1, length_bound)
-            words.append(tuple(rng.choice(letters) for _ in range(k)))
+            words.append(tuple([rng.choice(letters) for _ in range(k)]))
+    d = common_denominator(x for a in letters for r in rep.mats[a].rows for x in r)
+    scaled = {a: [integer_row(r, d) for r in rep.mats[a].rows] for a in letters}
+    words = sorted(set(words))
+    prefixes = [rows_identity(rep.dim)]   # A_u for the prefixes u of the previous word
+    prev = ()
     violations = []
-    for w in sorted(set(words)):
-        p = char_poly(rep.word_matrix(w))
+    for w in words:
+        k = next((i for i, (x, y) in enumerate(zip(prev, w)) if x != y), min(len(prev), len(w)))
+        del prefixes[k + 1:]
+        for a in w[k:]:
+            prefixes.append(rows_mul(prefixes[-1], scaled[a]))
+        scale = d ** len(w)
+        p = char_poly(QMat([[Fraction(x, scale) for x in r] for r in prefixes[-1]]))
         if not classify_roots(p, mode):
             violations.append((w, repr(p)))
-    return SpectrumReport(not violations, mode, len(set(words)), violations)
+        prev = w
+    return SpectrumReport(not violations, mode, len(words), violations)

@@ -7,10 +7,12 @@ its bugs.
 """
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
+from zpoly.exact import QMat, UPoly
 from zpoly.lang import Alphabet, compile_regex
 from zpoly.cplc import indicator_cplc, constant_cplc
 
@@ -83,6 +85,22 @@ def gauss_rank(rows) -> int:
         rank += 1
         col += 1
     return rank
+
+
+def char_poly(m: QMat) -> UPoly:
+    """Characteristic polynomial by the Faddeev-LeVerrier recurrence over
+    Fraction: M_1 = m, c_k = -tr(M_k) / k, M_{k+1} = m (M_k + c_k)."""
+    n = m.nrows
+    coeffs = [Fraction(1)]  # c_0 = 1 (leading)
+    mk = QMat.identity(n)
+    for k in range(1, n + 1):
+        mk = m * mk
+        ck = -mk.trace() / k
+        coeffs.append(ck)
+        if k < n:
+            mk = mk + QMat.identity(n).scale(ck)
+    # coeffs are for X^n, X^{n-1}, ..., X^0
+    return UPoly(list(reversed(coeffs)))
 
 
 def count_splits(word, fs) -> int:
@@ -175,3 +193,18 @@ def itimesj(ab):
     return (ind(compile_regex("a*a", ab))
             .cauchy(ind(compile_regex("a*b*b", ab)))
             .cauchy(ind(compile_regex("b*", ab))))
+
+
+def twelve_term_function():
+    """The 12-term level-1 function of raw dimension 57 (minimal dimension 14)."""
+    pool = ["(a|b)*a", "(a|b)*b", "a*", "b(a|b)*", "(ab)*", "(a|b)*ab(a|b)*",
+            "(aa|b)*", "a(a|b)*b"]
+    ab = Alphabet(["a", "b"])
+    ind = lambda r: indicator_cplc(compile_regex(r, ab))
+    rng = random.Random(1)
+    total = None
+    for i in range(12):
+        term = ind(rng.choice(pool)).cauchy(ind(rng.choice(pool)))
+        term = term.scale(1 if i == 0 else (rng.randint(-2, 2) or 1))
+        total = term if total is None else total.add(term)
+    return total

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from zpoly.cli import main
+from zpoly.cli import build_parser, main
 
 SIGNED_ZEXPR = """alphabet = a
 ind(a(aa)*) . ind(a(aa)*) + ind((aa)*) . ind((aa)*)
@@ -151,6 +151,24 @@ def test_spectrum(files, capsys):
     g = files("pow.zmso", POWERSET_ZMSO)
     code, out, _ = run(capsys, "spectrum", g, "--mode", "zero_union_unity")
     assert code == 1
+
+
+def test_spectrum_one_letter_long_bound(files, capsys):
+    """1501 words a^0 .. a^1500 are checked exhaustively, deeper than the
+    interpreter's recursion limit."""
+    f = files("astar.zexpr", "alphabet = a\nind(a*)\n")
+    code, out, _ = run(capsys, "spectrum", f, "--length-bound", "1500", "--samples", "5000")
+    assert code == 0 and "checked 1501 word matrices" in out
+    assert "all spectra conform" in out
+
+
+def test_parser_is_built_once_and_keeps_no_values(files, capsys):
+    assert build_parser() is build_parser()
+    f = files("signed.zexpr", SIGNED_ZEXPR)
+    code, out, _ = run(capsys, "spectrum", f, "--seed", "5", "--mode", "zero_one")
+    assert code == 1 and "(zero_one)" in out
+    code, out, _ = run(capsys, "spectrum", f)
+    assert code == 0 and "(zero_union_unity)" in out
 
 
 MORPHISM_JSON = json.dumps({

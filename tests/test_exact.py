@@ -144,6 +144,9 @@ def test_classify_roots():
     assert classify_roots((x * x + one) * x, "zero_union_unity")  # roots 0, +-i
     assert not classify_roots(x - UPoly.const(2), "zero_union_unity")
     assert not classify_roots(x * x - UPoly.const(2), "zero_union_unity")
+    # a non-integer coefficient: neither X^a (X-1)^b nor X^a times cyclotomics
+    assert not classify_roots(x - UPoly.const(Fraction(1, 2)), "zero_one")
+    assert not classify_roots(x - UPoly.const(Fraction(1, 2)), "zero_union_unity")
 
 
 def test_mpoly_eval_and_degree():

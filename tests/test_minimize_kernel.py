@@ -15,10 +15,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import count_a, signed_length
-from zpoly.cplc import indicator_cplc
+from conftest import count_a, signed_length, twelve_term_function
 from zpoly.exact import QMat
-from zpoly.lang import Alphabet, compile_regex
+from zpoly.lang import Alphabet
 from zpoly.series import LinRep, SpanBasis, reduce_minimize
 
 # ---------------------------------------------------------------------------
@@ -141,20 +140,6 @@ def assert_matches_oracle(rep):
 
 
 AB = Alphabet(["a", "b"])
-
-
-def twelve_term_function():
-    """The 12-term level-1 function of raw dimension 57 (minimal dimension 14)."""
-    pool = ["(a|b)*a", "(a|b)*b", "a*", "b(a|b)*", "(ab)*", "(a|b)*ab(a|b)*",
-            "(aa|b)*", "a(a|b)*b"]
-    ind = lambda r: indicator_cplc(compile_regex(r, AB))
-    rng = random.Random(1)
-    total = None
-    for i in range(12):
-        term = ind(rng.choice(pool)).cauchy(ind(rng.choice(pool)))
-        term = term.scale(1 if i == 0 else (rng.randint(-2, 2) or 1))
-        total = term if total is None else total.add(term)
-    return total
 
 
 @pytest.mark.parametrize("name", ["wa", "signed", "product_counts", "itimesj"])
