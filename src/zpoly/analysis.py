@@ -284,18 +284,20 @@ def _certified_patterns(f: Cplc, size, morphism, budget: SearchBudget):
 
 
 def growth_degree(f: Cplc, budget: SearchBudget | None = None,
-                  mode: str = "budgeted") -> GrowthVerdict:
+                  mode: str = "budgeted", rep=None) -> GrowthVerdict:
     """The polynomial growth degree of f, searched from below.
 
     -1 means the zero function (decided exactly); a verdict of k with
     budget_exhausted False is definitive because the syntactic level bounds
-    the degree from above.
+    the degree from above.  `rep` (default: f minimized) represents f with
+    columns mu(v) F spanning its space, so that f = 0 iff rep.I = 0.
     """
     if mode not in ("budgeted", "certified"):
         raise ValueError("unknown mode %r" % mode)
     budget = budget or SearchBudget()
-    rep = series.minimize(f.to_linrep())
-    if rep.dim == 0:
+    if rep is None:
+        rep = series.minimize(f.to_linrep())
+    if not any(rep.I):
         return GrowthVerdict(-1, mode, False)
     k_max = f.level
     if k_max == 0:
@@ -349,20 +351,21 @@ def growth_degree(f: Cplc, budget: SearchBudget | None = None,
 
 def equiv_mod_k(f: Cplc, g: Cplc, k: int,
                 budget: SearchBudget | None = None,
-                mode: str = "budgeted") -> bool:
+                mode: str = "budgeted", rep=None) -> bool:
     """Whether f - g has growth degree at most k (k = -1 means equality).
 
-    Raises BudgetExhausted when the budgeted search can neither produce a
-    witness of higher growth nor certify the bound.
+    `rep` represents f - g as growth_degree takes it.  Raises
+    BudgetExhausted when the budgeted search can neither produce a witness
+    of higher growth nor certify the bound.
     """
     h = f.sub(g)
     if h.is_zero_syntactic():
         return True
     if k < 0:
-        return series.minimize(h.to_linrep()).dim == 0
+        return series.minimize(h.to_linrep() if rep is None else rep).dim == 0
     if h.level <= k:
         return True
-    verdict = growth_degree(h, budget, mode)
+    verdict = growth_degree(h, budget, mode, rep)
     if verdict.degree > k:
         return False
     if verdict.degree == -1 or not verdict.budget_exhausted:

@@ -7,6 +7,11 @@ function of growth degree at most k-1) and states output f(w).  The machine
 computes f(a1..an) as the sum of the transition labels applied to the
 successive suffixes plus the output of the final state.
 
+Merges are decided on the row vectors I mu(w) of one minimal representation
+of f, which determine the residuals f|_w: equal vectors merge, and at k >= 1
+the growth search evaluates a nonzero difference from its vector (its
+patterns and product monoid still come from the difference Cplc).
+
 Star-freeness is decided by induction on the growth degree: at degree <= 0
 the function has finitely many residuals and the question reduces to
 aperiodicity of its minimal automaton; at degree k >= 1 the function is
@@ -44,7 +49,6 @@ class ResidualTransducer:
     labels: dict                 # (state, letter) -> Cplc of level <= k-1
     outputs: list                # integer f(state word)
     initial: int = 0
-    _label_reps: dict = field(default_factory=dict, repr=False)
 
     @property
     def n_states(self) -> int:
@@ -58,19 +62,9 @@ class ResidualTransducer:
         total = 0
         q = self.initial
         for i, a in enumerate(word):
-            total += self._label_value((q, a), word[i + 1:])
+            total += self.labels[(q, a)].eval(word[i + 1:])
             q = self.delta[(q, a)]
         return total + self.outputs[q]
-
-    def _label_value(self, key, suffix) -> int:
-        label = self.labels[key]
-        if not label.terms:
-            return 0
-        if key not in self._label_reps:
-            self._label_reps[key] = series.minimize(label.to_linrep())
-        v = self._label_reps[key].eval(suffix)
-        assert v.denominator == 1
-        return int(v)
 
     def underlying_dfa(self) -> lang.Dfa:
         delta = {a: tuple(self.delta[(q, a)] for q in range(self.n_states))
@@ -113,29 +107,41 @@ def residual_transducer(f: Cplc, k: int,
                         budget: SearchBudget | None = None,
                         max_states: int = 64) -> ResidualTransducer:
     """Algorithm: breadth-first shortlex exploration of residuals modulo
-    growth degree k-1.
+    growth degree k-1.  In a minimal representation (I, mu, F) of f the
+    residual f|_u is the series of the row vector I mu(u), and distinct
+    vectors give distinct series; a nonzero difference dv of two vectors is
+    tested with equiv_mod_k on the representation (dv, mu, F).
 
     Raises UncertainConstruction if any merge test runs out of budget, and
     StateBudgetExceeded if more than max_states classes appear.
     """
     budget = budget or SearchBudget()
+    rep = series.minimize(f.to_linrep())
     state_words = [()]
     residuals = [f]
+    vectors = [rep.I]
     delta = {}
     labels = {}
     queue = deque([0])
+
+    def merges(g, v, j):
+        if v == vectors[j]:
+            return True
+        if k <= 0:
+            return False
+        dv = [x - y for x, y in zip(v, vectors[j])]
+        try:
+            return analysis.equiv_mod_k(g, residuals[j], k - 1, budget,
+                                        rep=series.LinRep(f.alphabet, dv, rep.mats, rep.F))
+        except BudgetExhausted as exc:
+            raise UncertainConstruction(str(exc)) from exc
+
     while queue:
         q = queue.popleft()
         for a in f.alphabet:
             g = residuals[q].residual((a,))
-            target = None
-            for j, h in enumerate(residuals):
-                try:
-                    if analysis.equiv_mod_k(g, h, k - 1, budget):
-                        target = j
-                        break
-                except BudgetExhausted as exc:
-                    raise UncertainConstruction(str(exc)) from exc
+            v = rep.mats[a].vecmat(vectors[q])
+            target = next((j for j in range(len(vectors)) if merges(g, v, j)), None)
             if target is None:
                 if len(residuals) >= max_states:
                     raise StateBudgetExceeded(
@@ -144,6 +150,7 @@ def residual_transducer(f: Cplc, k: int,
                 target = len(residuals)
                 state_words.append(state_words[q] + (a,))
                 residuals.append(g)
+                vectors.append(v)
                 queue.append(target)
             delta[(q, a)] = target
             labels[(q, a)] = g.sub(residuals[target])
@@ -166,12 +173,7 @@ class CounterWitness:
 def counter_free(t: ResidualTransducer):
     """(True, None) when the transition monoid is aperiodic, else a counter."""
     dfa = t.underlying_dfa()
-    monoid, morphism, elements = lang.monoid_from_generators(
-        dfa.alphabet,
-        {a: tuple(dfa.delta[a]) for a in dfa.alphabet},
-        unit=tuple(range(dfa.n)),
-        compose=lambda x, y: tuple(y[q] for q in x),
-    )
+    monoid, morphism, elements = lang.transition_monoid(dfa)
     aperiodic, _omega = lang.monoid_aperiodic(monoid)
     if aperiodic:
         return True, None
@@ -205,14 +207,6 @@ class StarFreeVerdict:
     trace: list = field(default_factory=list)
 
 
-def _minimal_automaton_of_bounded(f: Cplc,
-                                  budget: SearchBudget) -> ResidualTransducer:
-    """The 0-residual transducer: residuals modulo exact equality.  For a
-    bounded (level-0 after cancellation) function this is its minimal
-    automaton with integer outputs."""
-    return residual_transducer(f, 0, budget)
-
-
 def star_free(f: Cplc, budget: SearchBudget | None = None,
               _depth: int = 0) -> StarFreeVerdict:
     """Decide star-freeness by induction on the growth degree."""
@@ -224,10 +218,9 @@ def star_free(f: Cplc, budget: SearchBudget | None = None,
     if k <= 0 and verdict.budget_exhausted:
         raise UncertainConstruction("growth degree undecided within budget")
     if k <= 0:
-        try:
-            machine = _minimal_automaton_of_bounded(f, budget)
-        except BudgetExhausted as exc:
-            raise UncertainConstruction(str(exc)) from exc
+        # the 0-residual transducer of a bounded function is its minimal
+        # automaton with integer outputs
+        machine = residual_transducer(f, 0, budget)
         ok, counter = counter_free(machine)
         if ok:
             return StarFreeVerdict(True, "aperiodic minimal automaton",

@@ -363,21 +363,7 @@ def parse_expression(text: str):
     ast nodes: ('ind', regex_text), ('int', n), ('scale', n, e),
     ('add', l, r), ('sub', l, r), ('cauchy', l, r), ('star', e).
     """
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.strip().startswith("#")]
-    alphabet = None
-    if lines and lines[0].strip().startswith("alphabet"):
-        decl = lines[0].split("=", 1)
-        if len(decl) != 2:
-            raise ExprError("malformed alphabet declaration")
-        letters = decl[1].split()
-        if len(letters) == 1 and len(letters[0]) > 1:
-            letters = list(letters[0])
-        alphabet = Alphabet(letters)
-        body = "\n".join(lines[1:])
-    else:
-        body = "\n".join(lines)
-    if alphabet is None:
-        raise ExprError("missing 'alphabet =' declaration")
+    alphabet, body = lang.parse_alphabet_header(text, ExprError)
     ast = _parse_expr_body(body)
     return alphabet, ast
 
@@ -487,39 +473,33 @@ def expression_uses_star(ast) -> bool:
     return False
 
 
-def expression_to_cplc(alphabet: Alphabet, ast) -> Cplc:
-    tag = ast[0]
+def _fold_expression(alphabet: Alphabet, node, indicator):
+    """Fold the AST with the combinators that Cplc and LinRep share;
+    `indicator` maps a DFA to its indicator function in the target type."""
+    tag = node[0]
     if tag == "ind":
-        return indicator_cplc(lang.compile_regex(ast[1], alphabet))
+        return indicator(lang.compile_regex(node[1], alphabet))
     if tag == "int":
-        return constant_cplc(alphabet, ast[1])
+        return indicator(lang.universal_language(alphabet)).scale(node[1])
     if tag == "scale":
-        return expression_to_cplc(alphabet, ast[2]).scale(ast[1])
-    if tag == "add":
-        return expression_to_cplc(alphabet, ast[1]).add(expression_to_cplc(alphabet, ast[2]))
-    if tag == "sub":
-        return expression_to_cplc(alphabet, ast[1]).sub(expression_to_cplc(alphabet, ast[2]))
-    if tag == "cauchy":
-        return expression_to_cplc(alphabet, ast[1]).cauchy(expression_to_cplc(alphabet, ast[2]))
+        return _fold_expression(alphabet, node[2], indicator).scale(node[1])
+    if tag in ("add", "sub", "cauchy"):
+        left = _fold_expression(alphabet, node[1], indicator)
+        return getattr(left, tag)(_fold_expression(alphabet, node[2], indicator))
     if tag == "star":
-        raise ExprError("star(...) requires compilation to a linear representation")
+        if indicator is not series.indicator:
+            raise ExprError("star(...) requires compilation to a linear representation")
+        inner = _fold_expression(alphabet, node[1], indicator)
+        try:
+            return inner.star()
+        except ValueError as exc:   # the iterated series is not proper
+            raise ExprError(str(exc)) from None
     raise ExprError("unknown node %r" % (tag,))
+
+
+def expression_to_cplc(alphabet: Alphabet, ast) -> Cplc:
+    return _fold_expression(alphabet, ast, indicator_cplc)
 
 
 def expression_to_linrep(alphabet: Alphabet, ast) -> series.LinRep:
-    tag = ast[0]
-    if tag == "ind":
-        return series.indicator(lang.compile_regex(ast[1], alphabet))
-    if tag == "int":
-        return series.indicator(lang.universal_language(alphabet)).scale(ast[1])
-    if tag == "scale":
-        return expression_to_linrep(alphabet, ast[2]).scale(ast[1])
-    if tag == "add":
-        return expression_to_linrep(alphabet, ast[1]).add(expression_to_linrep(alphabet, ast[2]))
-    if tag == "sub":
-        return expression_to_linrep(alphabet, ast[1]).sub(expression_to_linrep(alphabet, ast[2]))
-    if tag == "cauchy":
-        return expression_to_linrep(alphabet, ast[1]).cauchy(expression_to_linrep(alphabet, ast[2]))
-    if tag == "star":
-        return expression_to_linrep(alphabet, ast[1]).star()
-    raise ExprError("unknown node %r" % (tag,))
+    return _fold_expression(alphabet, ast, series.indicator)

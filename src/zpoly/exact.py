@@ -15,8 +15,6 @@ import math
 import operator
 from fractions import Fraction
 
-Rat = Fraction
-
 
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):

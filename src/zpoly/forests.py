@@ -164,13 +164,6 @@ def _is_group(m: FiniteMonoid, closure) -> bool:
     return all(any(m.mul(x, y) == e for y in closure) for x in closure)
 
 
-def _group_inverse(m: FiniteMonoid, closure, e, x):
-    for y in closure:
-        if m.mul(x, y) == e and m.mul(y, x) == e:
-            return y
-    raise ForestError("no inverse in group closure")
-
-
 def _build_group(items, mor, closure) -> ForestNode:
     """Exact recursion for the group case.
 

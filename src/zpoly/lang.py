@@ -510,35 +510,24 @@ def regex_to_dfa(node, alphabet: Alphabet) -> Dfa:
     raise RegexError("unknown AST node %r" % (tag,))
 
 
+def parse_alphabet_header(text: str, error):
+    """(alphabet, body) of a source text whose first line, after blank and
+    '#' comment lines are dropped, is `alphabet = a b ...` (or `= ab...`).
+    A missing or malformed declaration raises `error`."""
+    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.strip().startswith("#")]
+    if not lines or not lines[0].strip().startswith("alphabet"):
+        raise error("missing 'alphabet =' declaration")
+    decl = lines[0].split("=", 1)
+    if len(decl) != 2:
+        raise error("malformed alphabet declaration")
+    letters = decl[1].split()
+    if len(letters) == 1 and len(letters[0]) > 1:
+        letters = list(letters[0])
+    return Alphabet(letters), "\n".join(lines[1:])
+
+
 def compile_regex(text: str, alphabet: Alphabet) -> Dfa:
     return regex_to_dfa(parse_regex(text, alphabet), alphabet)
-
-
-def regex_matches(node, word) -> bool:
-    """Reference matcher used by tests; exponential but fine for short words."""
-    word = tuple(word)
-    tag = node[0]
-    if tag == "empty":
-        return False
-    if tag == "eps":
-        return word == ()
-    if tag == "lit":
-        return word == (node[1],)
-    if tag == "or":
-        return regex_matches(node[1], word) or regex_matches(node[2], word)
-    if tag == "and":
-        return regex_matches(node[1], word) and regex_matches(node[2], word)
-    if tag == "not":
-        return not regex_matches(node[1], word)
-    if tag == "cat":
-        return any(regex_matches(node[1], word[:i]) and regex_matches(node[2], word[i:])
-                   for i in range(len(word) + 1))
-    if tag == "star":
-        if word == ():
-            return True
-        return any(regex_matches(node[1], word[:i]) and regex_matches(node, word[i:])
-                   for i in range(1, len(word) + 1))
-    raise RegexError("unknown AST node %r" % (tag,))
 
 
 # ---------------------------------------------------------------------------
@@ -570,9 +559,6 @@ class FiniteMonoid:
 
     def is_idempotent(self, x: int) -> bool:
         return self.mul(x, x) == x
-
-    def idempotents(self):
-        return [x for x in range(self.size) if self.is_idempotent(x)]
 
     def power(self, x: int, e: int) -> int:
         acc = self.unit

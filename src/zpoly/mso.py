@@ -90,65 +90,6 @@ def _kind(name: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# reference evaluator (used by tests and oracles)
-
-
-def holds(phi, word, valuation) -> bool:
-    tag = phi[0]
-    if tag == "true":
-        return True
-    if tag == "false":
-        return False
-    if tag == "letter":
-        return word[valuation[phi[2]]] == phi[1]
-    if tag == "less":
-        return valuation[phi[1]] < valuation[phi[2]]
-    if tag == "eq":
-        return valuation[phi[1]] == valuation[phi[2]]
-    if tag == "in":
-        return valuation[phi[1]] in valuation[phi[2]]
-    if tag == "not":
-        return not holds(phi[1], word, valuation)
-    if tag == "and":
-        return holds(phi[1], word, valuation) and holds(phi[2], word, valuation)
-    if tag == "or":
-        return holds(phi[1], word, valuation) or holds(phi[2], word, valuation)
-    if tag == "exists":
-        v = phi[1]
-        n = len(word)
-        if _kind(v) == "fo":
-            choices = range(n)
-        else:
-            choices = (frozenset(s) for k in range(n + 1)
-                       for s in itertools.combinations(range(n), k))
-        for c in choices:
-            val2 = dict(valuation)
-            val2[v] = c
-            if holds(phi[2], word, val2):
-                return True
-        return False
-    raise MsoError("unknown node %r" % (tag,))
-
-
-def count_valuations(phi, variables, word) -> int:
-    """Brute-force #phi(w) over the declared variable list."""
-    word = tuple(word)
-    n = len(word)
-    total = 0
-    spaces = []
-    for v in variables:
-        if _kind(v) == "fo":
-            spaces.append(list(range(n)))
-        else:
-            spaces.append([frozenset(s) for k in range(n + 1)
-                           for s in itertools.combinations(range(n), k)])
-    for combo in itertools.product(*spaces):
-        if holds(phi, word, dict(zip(variables, combo))):
-            total += 1
-    return total
-
-
-# ---------------------------------------------------------------------------
 # marked automata
 
 
@@ -630,22 +571,7 @@ def _succ(x, y):
 def parse_count(text: str):
     """Parse a counting file: optional alphabet declaration, then
     `count[v1,...,vk] formula`.  Returns (alphabet, variables, formula)."""
-    lines = [ln for ln in text.splitlines()
-             if ln.strip() and not ln.strip().startswith("#")]
-    alphabet = None
-    if lines and lines[0].strip().startswith("alphabet"):
-        decl = lines[0].split("=", 1)
-        if len(decl) != 2:
-            raise MsoError("malformed alphabet declaration")
-        letters = decl[1].split()
-        if len(letters) == 1 and len(letters[0]) > 1:
-            letters = list(letters[0])
-        alphabet = Alphabet(letters)
-        body = "\n".join(lines[1:])
-    else:
-        body = "\n".join(lines)
-    if alphabet is None:
-        raise MsoError("missing 'alphabet =' declaration")
+    alphabet, body = lang.parse_alphabet_header(text, MsoError)
     p = _FormulaParser(body, alphabet)
     if not p.try_word("count"):
         raise MsoError("expected 'count[...]'")

@@ -1,9 +1,10 @@
 """Shared fixtures and independent brute-force oracles.
 
 The oracles here recompute series operations directly from their
-definitions (split enumeration, pointwise products, truncated star sums)
-so the library's algebra is checked against something that cannot share
-its bugs.
+definitions (split enumeration, pointwise products, truncated star sums,
+regex matching by splitting, formula truth by enumerating valuations) so
+the library's algebra is checked against something that cannot share its
+bugs.
 """
 
 import itertools
@@ -15,6 +16,7 @@ import pytest
 from zpoly.exact import QMat, UPoly
 from zpoly.lang import Alphabet, compile_regex
 from zpoly.cplc import indicator_cplc, constant_cplc
+from zpoly.mso import is_so
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +126,76 @@ def count_splits(word, fs) -> int:
                     total += ways[i + 1][end]
             ways[i][pos] = total
     return ways[0][0]
+
+
+def regex_matches(node, word) -> bool:
+    """Whether a parsed regex matches a word, by trying every split;
+    exponential but fine for short words."""
+    word = tuple(word)
+    tag = node[0]
+    if tag == "empty":
+        return False
+    if tag == "eps":
+        return word == ()
+    if tag == "lit":
+        return word == (node[1],)
+    if tag == "or":
+        return regex_matches(node[1], word) or regex_matches(node[2], word)
+    if tag == "and":
+        return regex_matches(node[1], word) and regex_matches(node[2], word)
+    if tag == "not":
+        return not regex_matches(node[1], word)
+    if tag == "cat":
+        return any(regex_matches(node[1], word[:i]) and regex_matches(node[2], word[i:])
+                   for i in range(len(word) + 1))
+    if tag == "star":
+        if word == ():
+            return True
+        return any(regex_matches(node[1], word[:i]) and regex_matches(node, word[i:])
+                   for i in range(1, len(word) + 1))
+    raise ValueError("unknown regex node %r" % (tag,))
+
+
+def _position_sets(n):
+    return [frozenset(s) for k in range(n + 1) for s in itertools.combinations(range(n), k)]
+
+
+def holds(phi, word, valuation) -> bool:
+    """Truth of a formula under a valuation; quantifiers enumerate every
+    position (lowercase variables) or set of positions (capitalized ones)."""
+    tag = phi[0]
+    if tag == "true":
+        return True
+    if tag == "false":
+        return False
+    if tag == "letter":
+        return word[valuation[phi[2]]] == phi[1]
+    if tag == "less":
+        return valuation[phi[1]] < valuation[phi[2]]
+    if tag == "eq":
+        return valuation[phi[1]] == valuation[phi[2]]
+    if tag == "in":
+        return valuation[phi[1]] in valuation[phi[2]]
+    if tag == "not":
+        return not holds(phi[1], word, valuation)
+    if tag == "and":
+        return holds(phi[1], word, valuation) and holds(phi[2], word, valuation)
+    if tag == "or":
+        return holds(phi[1], word, valuation) or holds(phi[2], word, valuation)
+    if tag == "exists":
+        v = phi[1]
+        choices = _position_sets(len(word)) if is_so(v) else range(len(word))
+        return any(holds(phi[2], word, {**valuation, v: c}) for c in choices)
+    raise ValueError("unknown formula node %r" % (tag,))
+
+
+def count_valuations(phi, variables, word) -> int:
+    """Brute-force #phi(w) over the declared variable list."""
+    word = tuple(word)
+    spaces = [_position_sets(len(word)) if is_so(v) else range(len(word))
+              for v in variables]
+    return sum(holds(phi, word, dict(zip(variables, combo)))
+               for combo in itertools.product(*spaces))
 
 
 # ---------------------------------------------------------------------------

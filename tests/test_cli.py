@@ -1,8 +1,14 @@
 """Command line interface: inputs, subcommands, exit codes."""
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from zpoly.cli import build_parser, main
 
@@ -15,6 +21,7 @@ ind(a(aa)*) . ind(a(aa)*) + ind((aa)*) . ind((aa)*)
 COUNT_A_ZEXPR = "alphabet = a b\nind((a|b)*a) . ind((a|b)*)\n"
 A_ASTAR_ZEXPR = "alphabet = a b\nind(a(a|b)*)\n"
 STAR_ZEXPR = "alphabet = a\nstar(-3 * ind(a*a))\n"
+IMPROPER_STAR_ZEXPR = "alphabet = a\nstar(-3 * ind(a*))\n"
 PAIRS_ZMSO = "alphabet = a b\ncount[x, y] a(x) & b(y)\n"
 POWERSET_ZMSO = "alphabet = a\ncount[X] true\n"
 
@@ -46,6 +53,14 @@ def test_eval_star_expression(files, capsys):
     path = files("geo.zexpr", STAR_ZEXPR)
     code, out, _ = run(capsys, "eval", path, "aaa")
     assert code == 0 and out.strip() == "-12"
+
+
+@pytest.mark.parametrize("argv", [["eval", "{f}", "aa"], ["compile", "{f}"]])
+def test_star_of_improper_series_exits_3(files, capsys, argv):
+    """star(e) needs e(eps) = 0; -3 * ind(a*) is -3 on the empty word."""
+    path = files("improper.zexpr", IMPROPER_STAR_ZEXPR)
+    code, out, err = run(capsys, *(a.replace("{f}", path) for a in argv))
+    assert code == 3 and out == "" and "proper series" in err
 
 
 def test_eval_mso(files, capsys):
@@ -360,3 +375,48 @@ def test_star_free_recursion_limit_is_undecided(files, capsys, monkeypatch):
     path = files("wa.zexpr", COUNT_A_ZEXPR)
     code, out, _ = run(capsys, "starfree", path)
     assert code == 2 and "undecided: star-freeness recursion too deep" in out
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: mutated inputs never escape as exceptions
+
+
+SEED_INPUTS = [(".zexpr", t) for t in (SIGNED_ZEXPR, COUNT_A_ZEXPR, A_ASTAR_ZEXPR, STAR_ZEXPR,
+                                      "alphabet = a b\n2 * ind(a*) . (ind(b) - 1) + star(ind(ab))\n")]
+SEED_INPUTS += [(".zmso", t) for t in (PAIRS_ZMSO, POWERSET_ZMSO,
+                                      "alphabet = a b\ncount[x] !a(x) & !(exists y. y < x & b(y))\n",
+                                      "alphabet = ab\ncount[x, Y] x in Y & (exists z. z = x)\n")]
+TOKENS = ["a", "b", "c", "(", ")", "*", "|", "&", "!", ".", "+", "-", "=", "<", ",",
+          "[", "]", " ", "\n", "#", "0", "3", "ind(", "star(", "count[", "exists ",
+          "x", "X", "in", "alphabet", "∅", "true"]
+
+
+@st.composite
+def mutated_inputs(draw):
+    """A seed input with up to four token insertions, deletions or
+    replacements at drawn offsets."""
+    suffix, text = draw(st.sampled_from(SEED_INPUTS))
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(text)))
+        j = i + draw(st.integers(0, 3))
+        text = text[:i] + draw(st.sampled_from(TOKENS + [""])) + text[j:]
+    return suffix, text
+
+
+@settings(max_examples=300, deadline=None)
+@example((".zexpr", IMPROPER_STAR_ZEXPR), ["eval", "{f}", "aa"])
+@example((".zexpr", IMPROPER_STAR_ZEXPR), ["compile", "{f}"])
+@given(mutated_inputs(),
+       st.sampled_from([["compile", "{f}"], ["compile", "{f}", "--target", "linrep"],
+                        ["compile", "{f}", "--target", "cplc"], ["eval", "{f}"],
+                        ["eval", "{f}", "ab"], ["eval", "{f}", "aab"], ["eval", "{f}", "ac"]]))
+def test_mutated_inputs_exit_0_or_3(source, argv):
+    suffix, text = source
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input" + suffix)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([a.replace("{f}", path) for a in argv])
+    assert code in (0, 3), (text, argv, code, err.getvalue())

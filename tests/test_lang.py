@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import words_up_to
+from conftest import regex_matches, words_up_to
 from zpoly.lang import (Alphabet, Dfa, FiniteMonoid, MonoidMorphism,
                         RegexError, compile_regex, complement, concat,
                         dfa_from_json, dfa_to_json, intersect,
                         monoid_aperiodic, monoid_from_generators, parse_regex,
-                        regex_matches, residual_language, star,
+                        residual_language, star,
                         transition_monoid, union)
 
 AB = Alphabet(["a", "b"])

@@ -3,11 +3,11 @@ compilation targets (linear representations and Cauchy combinations)."""
 
 import pytest
 
-from conftest import words_up_to
+from conftest import count_valuations, holds, words_up_to
 from zpoly.lang import Alphabet
 from zpoly.mso import (MsoError, compile_marked_automaton, count_sets_to_linrep,
-                       count_to_cplc, count_to_linrep, count_valuations,
-                       free_vars, holds, is_so, parse_count)
+                       count_to_cplc, count_to_linrep, free_vars, is_so,
+                       parse_count)
 
 AB = Alphabet(["a", "b"])
 A1 = Alphabet(["a"])
