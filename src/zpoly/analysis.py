@@ -250,10 +250,11 @@ def _exhaustive_patterns(alphabet, size, budget: SearchBudget):
 def _certified_patterns(f: Cplc, size, morphism, budget: SearchBudget):
     """Complete pattern source for certified mode.
 
-    Depth bound d = 3|M| + ceil(log2(2k+3)) + 1; pump words are a superset
-    of the depth-<=d skeleton yields (all words up to length 2^(d-1) with
-    idempotent image), connectors are shortest preimages of all monoid
-    elements."""
+    `forests.simon_forest` proves depth <= 3|M| for every word (module
+    docstring there); with d = 3|M| + ceil(log2(2k+3)) + 1 the pump words
+    are a superset of the depth-<=d skeleton yields (all words up to length
+    2^(d-1) with idempotent image), and connectors are shortest preimages
+    of all monoid elements."""
     m = morphism.monoid
     k = f.level
     d = 3 * m.size + math.ceil(math.log2(2 * k + 3)) + 1

@@ -272,8 +272,9 @@ def load_morphism(path: str) -> lang.MonoidMorphism:
             or not all(lang.is_index(x, n) for x in entries)):
         raise InputError("malformed morphism JSON: needs a size x size table whose "
                          "entries, unit and letter images lie in 0..size-1")
-    if not monoid.check_associative():
-        raise InputError("multiplication table is not associative")
+    if not monoid.check_associative(letters.values()):
+        raise InputError("multiplication table is not associative, or its unit "
+                         "is not a unit")
     alphabet = lang.Alphabet(sorted(letters))
     return lang.MonoidMorphism(monoid, alphabet, letters)
 

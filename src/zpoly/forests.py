@@ -1,14 +1,50 @@
 """Factorization forests, skeletons, and pumping-pattern extraction.
 
-A factorization forest for a word w under a morphism into a finite monoid M
-is an ordered tree whose leaves spell w and whose internal nodes either have
+A factorization forest for a word w under a morphism h into a finite monoid
+M is an ordered tree whose leaves spell w and whose inner nodes either have
 two children or have three or more children all sharing one idempotent
-value.  Conformance is defined by `validate` plus the depth bound 3|M|.
+value.  `simon_forest` builds one of depth at most 3|M|, a leaf having depth
+1, by Simon's induction on J-classes (Simon, TCS 1990; the count follows
+Kufleitner, "The height of factorization forests", MFCS 2008).  Green's
+relations are those of T, the submonoid generated by the letter images; the
+construction reads only the J-class of each element, computed once per
+morphism (`MonoidMorphism.j_class`).  Every step is a loop over its
+sequence, and recursion goes one call per tree level.
 
-The construction below contracts runs of equal idempotent values, uses an
-exact recursion when the generated subsemigroup is a group (splitting at
-repeated prefix products, whose count strictly decreases), splits at the
-most frequent prefix product otherwise, and falls back to pairwise joining.
+Why the depth holds.  Let U(w) be the set of elements of T that are >=_J
+h(w); the value of every infix of w lies in U(w).  By induction on |U(w)|,
+the forest of w has height (depth - 1) at most 3|U(w)| - 1 <= 3|M| - 1.
+
+Let J be the J-class of h(w).  `_forest` cuts w from the left into items
+v c, each ending at the first letter c at which the product of the item falls
+into J, and a tail t whose product stays above J.  The pieces v and t lie
+strictly above J, so their forests have height at most h = 3|U(w) - J| - 1
+(h = -1 when all are empty).  An item <forest(v), c> has height <= h + 1;
+the last item also takes the tail, <<forest(v), c>, forest(t)>, of height
+<= h + 2.  Item values and their product lie in J, hence so does every
+infix of the item sequence: it is smooth.  It remains to build a tree over
+a smooth sequence of height at most h + 3|J|.
+
+`_smooth`: let q_1..q_m be the prefix products and x = q_m.  Cutting after
+each j with q_j = x gives a head of value x and blocks b with xb = x.  By
+stability of finite monoids b L x, so b = ux and bb = uxb = b: the blocks
+are idempotents of the L-class of x, and such idempotents satisfy ef = e.
+Head and blocks are <smooth(prefix), item>.  The prefix of the head has its
+prefix products among {q_1..q_m} - {x}; so does the prefix of a block, up to
+the injection y -> xy on the R-class of b (by = y and b = ux).  `_band`
+groups the blocks, preceded by the head when x is idempotent, at each
+occurrence of the first value e: a group <e, band(rest)> has value e, the
+rest avoids e, and the groups form one idempotent node.  With q distinct
+values a band takes 2q - 1 levels, and q <= n, the number of R-classes of J
+(an H-class holds one idempotent at most).  So over items of height h + 1
+the tree has height at most h + (2n + 1)k, where k = |{q_1..q_m}| <= |R|,
+the size of an R-class of J, and (2n + 1)|R| <= 3n|R| = 3|J|.  The last
+item is never passed down: it sits at most 2n + 1 levels below the root,
+which keeps it within h + 2n + 3 <= h + 3|J| when |R| >= 2.  When |R| = 1
+every position is a cut, x is idempotent (each R-class of a regular J-class
+holds an idempotent), and the sequence is one band of height at most
+h + 2 + 2n - 1 <= h + 3|J|.  A single item costs nothing, and a J-class
+without idempotents admits no longer smooth sequence.
 """
 
 from __future__ import annotations
@@ -18,7 +54,7 @@ import random
 from dataclasses import dataclass, field
 
 from .cplc import Cplc, PumpingPattern, product_monoid
-from .lang import FiniteMonoid, MonoidMorphism
+from .lang import MonoidMorphism
 
 
 class ForestError(ValueError):
@@ -73,14 +109,14 @@ def _mk_node(mor: MonoidMorphism, children) -> ForestNode:
 
 
 def simon_forest(mor: MonoidMorphism, word) -> ForestNode:
-    """Build a factorization forest of depth at most 3|M| (plus the leaf
-    level bookkeeping: leaves have depth 1)."""
+    """Build a factorization forest of depth at most 3|M| (leaves have
+    depth 1) by Simon's induction on J-classes; see the module docstring."""
     word = tuple(word)
     if not word:
         raise ForestError("factorization forests require a nonempty word")
     leaves = [ForestNode(value=mor.image((a,)), letter=a, start=i + 1, end=i + 1)
               for i, a in enumerate(word)]
-    root = _build(leaves, mor)
+    root = _forest(mor, leaves)
     _assign_uids(root)
     return root
 
@@ -90,198 +126,61 @@ def _assign_uids(root: ForestNode):
         node.uid = i
 
 
-def _build(items, mor: MonoidMorphism) -> ForestNode:
+def _forest(mor: MonoidMorphism, leaves) -> ForestNode:
+    """Cut the leaves into items whose products fall into the J-class of the
+    whole product, the last item taking the tail above it, and build the
+    tree over the smooth item sequence."""
     m = mor.monoid
-    if len(items) == 1:
-        return items[0]
-    if len(items) == 2:
-        return _mk_node(mor, items)
-    values = [it.value for it in items]
-    # one idempotent node when everything agrees
-    if len(set(values)) == 1 and m.is_idempotent(values[0]):
-        return _mk_node(mor, items)
-    # contract maximal runs (length >= 2) of one idempotent value
-    contracted = _contract_runs(items, mor)
-    if contracted is not None:
-        return _build(contracted, mor)
-    closure = _generated_subsemigroup(m, set(values))
-    if _is_group(m, closure):
-        return _build_group(items, mor, closure)
-    split = _j_split(items, mor)
-    if split is not None:
-        return split
-    split = _split_prefix(items, mor)
-    if split is not None:
-        return split
-    # last resort: halve by pairing neighbours
-    paired = [(_mk_node(mor, items[i:i + 2]) if i + 1 < len(items) else items[i])
-              for i in range(0, len(items), 2)]
-    return _build(paired, mor)
-
-
-def _contract_runs(items, mor):
-    m = mor.monoid
-    out = []
-    i = 0
-    changed = False
-    while i < len(items):
-        j = i
-        v = items[i].value
-        if m.is_idempotent(v):
-            while j + 1 < len(items) and items[j + 1].value == v:
-                j += 1
-        if j > i:
-            out.append(_mk_node(mor, items[i:j + 1]))
-            changed = True
-        else:
-            out.append(items[i])
-        i = j + 1
-    return out if changed and len(out) < len(items) else None
-
-
-def _generated_subsemigroup(m: FiniteMonoid, gens):
-    closure = set(gens)
-    frontier = set(gens)
-    while frontier:
-        new = set()
-        for x in frontier:
-            for g in gens:
-                for y in (m.mul(x, g), m.mul(g, x)):
-                    if y not in closure:
-                        new.add(y)
-        closure |= new
-        frontier = new
-    return closure
-
-
-def _is_group(m: FiniteMonoid, closure) -> bool:
-    idems = [x for x in closure if m.is_idempotent(x)]
-    if len(idems) != 1:
-        return False
-    e = idems[0]
-    if any(m.mul(e, x) != x or m.mul(x, e) != x for x in closure):
-        return False
-    return all(any(m.mul(x, y) == e for y in closure) for x in closure)
-
-
-def _build_group(items, mor, closure) -> ForestNode:
-    """Exact recursion for the group case.
-
-    Split at the positions whose prefix product equals the total product g;
-    the blocks between consecutive such positions multiply to the group
-    identity, hence share an idempotent value, and stripping the last item
-    of a block strictly decreases the number of distinct prefix products.
-    """
-    m = mor.monoid
-    if len(items) <= 2:
-        return _mk_node(mor, items) if len(items) == 2 else items[0]
-    e = next(x for x in closure if m.is_idempotent(x))
-    prefix = []
-    acc = e
-    for it in items:
-        acc = m.mul(acc, it.value)
-        prefix.append(acc)
-    g = prefix[-1]
-    hits = [i for i, p in enumerate(prefix) if p == g]
-
-    def block_tree(block):
-        if len(block) == 1:
-            return block[0]
-        head = _build_group(block[:-1], mor, closure)
-        return _mk_node(mor, (head, block[-1]))
-
-    if len(hits) == 1:
-        # g appears only at the end: strip the last item and recurse
-        head = _build_group(items[:-1], mor, closure)
-        return _mk_node(mor, (head, items[-1]))
-    first = hits[0]
-    head_block = items[:first + 1]
-    mids = [block_tree(items[hits[j] + 1:hits[j + 1] + 1])
-            for j in range(len(hits) - 1)]
-    if len(mids) == 1:
-        mid = mids[0]
-    elif len(mids) >= 3 and len({t.value for t in mids}) == 1 \
-            and m.is_idempotent(mids[0].value):
-        mid = _mk_node(mor, mids)
-    else:
-        mid = _build(mids, mor)
-    return _mk_node(mor, (block_tree(head_block), mid))
-
-
-def _ideal(mor: MonoidMorphism, v: int):
-    """The two-sided ideal of v, closed under the letter generators."""
-    m = mor.monoid
-    gens = set(mor.letter_images.values())
-    out = {v}
-    frontier = [v]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            for y in (m.mul(g, x), m.mul(x, g)):
-                if y not in out:
-                    out.add(y)
-                    frontier.append(y)
-    return out
-
-
-def _j_split(items, mor):
-    """Peel off a maximal J-class.
-
-    Write the item sequence as B_0 y_1 B_1 ... y_s B_s where the B_i are
-    maximal blocks of items whose value sits in the chosen maximal J-class
-    and the y_i are the items below it.  Joining each y_i with the block
-    that follows (and B_0 with y_1) yields a strictly shorter sequence whose
-    values all left the peeled class.
-    """
-    values = sorted({it.value for it in items})
-    ideals = {v: _ideal(mor, v) for v in values}
-    maximal = [v for v in values
-               if all(v not in ideals[u] or u in ideals[v] for u in values)]
-    j0 = maximal[0]
-    top = {v for v in values if v in ideals[j0] and j0 in ideals[v]}
-    if all(it.value in top for it in items):
-        return None
-    blocks = [[]]
-    separators = []
-    for it in items:
-        if it.value in top:
-            blocks[-1].append(it)
-        else:
-            separators.append(it)
-            blocks.append([])
-    new_items = []
-    for i, y in enumerate(separators):
-        after = blocks[i + 1]
-        z = y if not after else _mk_node(mor, (y, _build(after, mor)))
-        if i == 0 and blocks[0]:
-            z = _mk_node(mor, (_build(blocks[0], mor), z))
-        new_items.append(z)
-    return _build(new_items, mor)
-
-
-def _split_prefix(items, mor):
-    """Split at the most frequent prefix product when that gives progress."""
-    m = mor.monoid
-    prefix = []
+    j_class = mor.j_class()
+    total = m.unit
+    for leaf in leaves:
+        total = m.mul(total, leaf.value)
+    target = j_class[total]
+    items = []
+    start = 0
     acc = m.unit
-    for it in items:
-        acc = m.mul(acc, it.value)
-        prefix.append(acc)
-    counts = {}
-    for p in prefix[:-1]:
-        counts[p] = counts.get(p, 0) + 1
-    if not counts:
-        return None
-    best = max(sorted(counts), key=lambda p: counts[p])
-    if counts[best] < 2:
-        return None
-    hits = [i for i, p in enumerate(prefix[:-1]) if p == best]
-    cuts = [0] + [i + 1 for i in hits] + [len(items)]
-    blocks = [items[cuts[j]:cuts[j + 1]] for j in range(len(cuts) - 1)]
-    if len(blocks) >= len(items):
-        return None
-    trees = [b[0] if len(b) == 1 else _build(b, mor) for b in blocks]
-    return _build(trees, mor)
+    for i, leaf in enumerate(leaves):
+        acc = m.mul(acc, leaf.value)
+        if j_class[acc] == target:
+            items.append(_mk_node(mor, (_forest(mor, leaves[start:i]), leaf))
+                         if i > start else leaf)
+            start = i + 1
+            acc = m.unit
+    if start < len(leaves):
+        items[-1] = _mk_node(mor, (items[-1], _forest(mor, leaves[start:])))
+    return _smooth(mor, items)
+
+
+def _smooth(mor: MonoidMorphism, items) -> ForestNode:
+    """Tree over items whose values and product lie in one J-class: cut
+    after every prefix product equal to the whole product x; the head has
+    value x, the blocks are idempotents of the L-class of x."""
+    m = mor.monoid
+    prefix = list(itertools.accumulate((it.value for it in items), m.mul))
+    x = prefix[-1]
+    parts = []
+    start = 0
+    for j, q in enumerate(prefix):
+        if q == x:
+            parts.append(_mk_node(mor, (_smooth(mor, items[start:j]), items[j]))
+                         if j > start else items[j])
+            start = j + 1
+    if m.is_idempotent(x):
+        return _band(mor, parts)
+    if len(parts) == 1:
+        return parts[0]
+    return _mk_node(mor, (parts[0], _band(mor, parts[1:])))
+
+
+def _band(mor: MonoidMorphism, parts) -> ForestNode:
+    """Tree over idempotents of one L-class, where ef = e: a group opens at
+    each occurrence of the first value y, has value y, and the groups form
+    one idempotent node."""
+    y = parts[0].value
+    opens = [i for i, p in enumerate(parts) if p.value == y] + [len(parts)]
+    groups = [_mk_node(mor, (parts[a], _band(mor, parts[a + 1:b])))
+              if b > a + 1 else parts[a] for a, b in zip(opens, opens[1:])]
+    return groups[0] if len(groups) == 1 else _mk_node(mor, groups)
 
 
 def validate(root: ForestNode, mor: MonoidMorphism, word=None) -> bool:

@@ -548,14 +548,26 @@ class FiniteMonoid:
     def mul(self, x: int, y: int) -> int:
         return self.table[x][y]
 
-    def check_associative(self, limit: int = 12) -> bool:
-        k = min(self.size, limit)
-        for x in range(k):
-            for y in range(k):
-                for z in range(k):
-                    if self.mul(self.mul(x, y), z) != self.mul(x, self.mul(y, z)):
-                        return False
-        return True
+    def check_associative(self, generators) -> bool:
+        """Whether `unit` is a two-sided unit and the table is associative on
+        the submonoid T generated by `generators`.  Checking (xy)a = x(ya)
+        for x, y in T and generators a covers every triple of T, by
+        induction on the third factor: (xy)(za) = ((xy)z)a = (x(yz))a =
+        x((yz)a) = x(y(za)).  Cost |generators| * |T|^2."""
+        if any(self.mul(self.unit, x) != x or self.mul(x, self.unit) != x
+               for x in range(self.size)):
+            return False
+        generators = set(generators)
+        sub = [self.unit]
+        seen = {self.unit}
+        for x in sub:
+            for a in generators:
+                y = self.mul(x, a)
+                if y not in seen:
+                    seen.add(y)
+                    sub.append(y)
+        return all(self.mul(self.mul(x, y), a) == self.mul(x, self.mul(y, a))
+                   for x in sub for y in sub for a in generators)
 
     def is_idempotent(self, x: int) -> bool:
         return self.mul(x, x) == x
@@ -602,12 +614,25 @@ def monoid_aperiodic(m: FiniteMonoid):
 class MonoidMorphism:
     """A morphism from the free monoid over an alphabet, given by letter images."""
 
-    __slots__ = ("monoid", "alphabet", "letter_images")
+    __slots__ = ("monoid", "alphabet", "letter_images", "_j_class")
 
     def __init__(self, monoid: FiniteMonoid, alphabet: Alphabet, letter_images):
         self.monoid = monoid
         self.alphabet = alphabet
         self.letter_images = dict(letter_images)
+        self._j_class = None
+
+    def j_class(self) -> list:
+        """J-class index of each element of the submonoid generated by the
+        letter images, for that submonoid's Green J relation: the strongly
+        connected components of the Cayley graph x -> xa, x -> ax over the
+        letter images.  Computed once per morphism."""
+        if self._j_class is None:
+            m = self.monoid
+            gens = sorted(set(self.letter_images.values()))
+            self._j_class = _strong_components(
+                m.size, lambda x: [m.mul(x, g) for g in gens] + [m.mul(g, x) for g in gens])
+        return self._j_class
 
     def image(self, word) -> int:
         x = self.monoid.unit
@@ -633,6 +658,45 @@ class MonoidMorphism:
                 seen.add(y)
                 queue.append((y, w2))
         return None
+
+
+def _strong_components(n: int, succ) -> list:
+    """Component index of each node 0..n-1 of a graph (Tarjan, iterative)."""
+    index, low, comp = {}, {}, [None] * n
+    stack, on_stack = [], set()
+    count = 0
+    for root in range(n):
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(succ(root)))]
+        while work:
+            v, edges = work[-1]
+            for w in edges:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(succ(w))))
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        comp[w] = count
+                        if w == v:
+                            break
+                    count += 1
+    return comp
 
 
 def transition_monoid(dfa: Dfa, cap: int = 100000):

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import tempfile
 
 import pytest
@@ -206,6 +207,38 @@ def test_forest_bad_word(files, capsys):
     m = files("parity.json", MORPHISM_JSON)
     code, _, err = run(capsys, "forest", m, "abc")
     assert code == 3
+
+
+# {1, x, 0} with x^2 = 0: a -> 1, b -> x
+ZERO_X_JSON = json.dumps({
+    "monoid": {"size": 3, "table": [[0, 1, 2], [1, 2, 2], [2, 2, 2]], "unit": 0},
+    "letters": {"a": 0, "b": 1},
+})
+
+
+@pytest.mark.parametrize("length", [50, 1000])
+def test_forest_meets_depth_bound_on_zero_x(files, capsys, length):
+    m = files("zerox.json", ZERO_X_JSON)
+    rng = random.Random(length)
+    word = "".join(rng.choice("ab") for _ in range(length))
+    code, out, _ = run(capsys, "forest", m, word)
+    last = out.strip().splitlines()[-1].split()
+    assert code == 0 and last[0] == "depth" and int(last[1]) <= 9
+
+
+def test_non_associative_morphism_exits_3(files, capsys):
+    """x + y mod 14 with one entry changed: 50 failing triples, none of them
+    among the first 12 elements alone."""
+    table = [[(i + j) % 14 for j in range(14)] for i in range(14)]
+    table[12][13] = 5
+    m = files("bad14.json", json.dumps({
+        "monoid": {"size": 14, "table": table, "unit": 0}, "letters": {"a": 1}}))
+    code, _, err = run(capsys, "forest", m, "aaa")
+    assert code == 3 and "not associative" in err
+    table = [[(i + j) % 2 for j in range(2)] for i in range(2)]
+    m = files("nounit.json", json.dumps({
+        "monoid": {"size": 2, "table": table, "unit": 1}, "letters": {"a": 1}}))
+    assert run(capsys, "forest", m, "aa")[0] == 3
 
 
 def test_pump_command(files, capsys):

@@ -3,12 +3,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zpoly.forests import (ForestError, dependent_pairs, extract_patterns,
                            from_brackets, independent_leaf_bound, simon_forest,
                            skeleton, skeleton_analysis, to_brackets, to_dot,
                            validate)
-from zpoly.lang import Alphabet, FiniteMonoid, MonoidMorphism
+from zpoly.lang import Alphabet, Dfa, FiniteMonoid, MonoidMorphism, transition_monoid
 
 
 def trivial_morphism():
@@ -33,7 +35,14 @@ def z6_morphism():
     return MonoidMorphism(m, Alphabet(["a", "b"]), {"a": 1, "b": 2})
 
 
-MORPHISMS = [trivial_morphism(), sign_morphism(), z6_morphism()]
+def zero_x_morphism():
+    """{1, x, 0} with x^2 = 0; a -> 1, b -> x."""
+    table = ((0, 1, 2), (1, 2, 2), (2, 2, 2))
+    return MonoidMorphism(FiniteMonoid(3, table, 0), Alphabet(["a", "b"]),
+                          {"a": 0, "b": 1})
+
+
+MORPHISMS = [trivial_morphism(), sign_morphism(), z6_morphism(), zero_x_morphism()]
 
 
 def random_words(mor, count, max_len, seed):
@@ -60,7 +69,7 @@ def check_forest(mor, word):
 
 
 @pytest.mark.parametrize("mor", MORPHISMS,
-                         ids=["trivial", "sign", "cyclic6"])
+                         ids=["trivial", "sign", "cyclic6", "zero_x"])
 def test_forest_suite_500_words(mor):
     analysis_budget = 60  # full skeleton checks only on smaller forests
     for i, word in enumerate(random_words(mor, 500, 30, seed=13)):
@@ -88,6 +97,30 @@ def test_forest_suite_500_words(mor):
         leaves = info.leaves()
         for x in leaves:
             assert sum(1 for (u, v) in pairs if u == x) <= bound
+
+
+@st.composite
+def dfa_morphisms(draw):
+    """Transition monoids of random DFAs with 2-4 states on 2-3 letters."""
+    n = draw(st.integers(2, 4))
+    alphabet = Alphabet("abc"[:draw(st.integers(2, 3))])
+    delta = {a: draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+             for a in alphabet}
+    return transition_monoid(Dfa(alphabet, n, 0, [0], delta))[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(mor=st.one_of(dfa_morphisms(), st.just(zero_x_morphism())),
+       data=st.data())
+def test_forest_property_depth_bound(mor, data):
+    """Every forest validates, spells the word and has depth <= 3|M|, also
+    on words far longer than the recursion limit."""
+    letters = list(mor.alphabet)
+    word = data.draw(st.one_of(
+        st.lists(st.sampled_from(letters), min_size=1, max_size=40),
+        st.integers(1, 2000).flatmap(lambda n: st.randoms(use_true_random=False).map(
+            lambda rng: [rng.choice(letters) for _ in range(n)]))))
+    check_forest(mor, word)
 
 
 def test_idempotent_nodes_have_equal_children():

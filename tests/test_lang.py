@@ -1,5 +1,7 @@
 """Regular languages: regexes, automata, residuals, monoids."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -113,8 +115,8 @@ def test_dfa_json_round_trip():
 
 def test_transition_monoid_aperiodicity():
     aperiodic_dfa = compile_regex("a(a|b)*", AB)
-    m, _mor, _ = transition_monoid(aperiodic_dfa)
-    assert m.check_associative()
+    m, mor, _ = transition_monoid(aperiodic_dfa)
+    assert m.check_associative(mor.letter_images.values())
     ok, _omega = monoid_aperiodic(m)
     assert ok
     periodic_dfa = compile_regex("(aa)*", Alphabet(["a"]))
@@ -149,8 +151,23 @@ def test_monoid_from_generators():
     gens = {"a": (1, 1), "b": (0, 0)}  # transformations of {0,1}
     m, mor, elements = monoid_from_generators(
         al, gens, unit=(0, 1), compose=lambda x, y: tuple(y[q] for q in x))
-    assert m.check_associative()
+    assert m.check_associative(mor.letter_images.values())
     # closure is {identity, constant-1, constant-0}
     assert m.size == 3
     assert elements[mor.image("ab")] == (0, 0)
     assert elements[mor.image("ba")] == (1, 1)
+
+
+def test_j_classes_are_mutual_two_sided_ideals():
+    rng = random.Random(3)
+    for _ in range(20):
+        n = rng.randint(2, 4)
+        al = Alphabet(["a", "b", "c"][:rng.randint(2, 3)])
+        delta = {a: [rng.randrange(n) for _ in range(n)] for a in al}
+        m, mor, _ = transition_monoid(Dfa(al, n, 0, [0], delta))
+        ideal = [{m.mul(m.mul(u, x), v) for u in range(m.size) for v in range(m.size)}
+                 for x in range(m.size)]
+        j = mor.j_class()
+        for x in range(m.size):
+            for y in range(m.size):
+                assert (j[x] == j[y]) == (x in ideal[y] and y in ideal[x])

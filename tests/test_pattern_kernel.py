@@ -268,7 +268,7 @@ GROWTH_VERDICTS = {
     'alphabet = a b\ncount[x,y,z] a(x)&b(y)&a(z)&x<y&y<z\n':
         (3, False, 163, '_ (aa)^X _ (aa)^X _ (ab)^X _', '-1/6*X3 + -1*X2*X3 + -1*X1*X3 + 1/6*X3^3 + X2*X3^2 + X1*X3^2'),
     'alphabet = a b\ncount[x,y] succ(x,y)&a(x)&a(y)\n':
-        (1, True, 472, '_ (aa)^X _ (aa)^X _', '-1 + 2*X2 + 2*X1'),
+        (1, True, 492, '_ (aa)^X _ (aa)^X _', '-1 + 2*X2 + 2*X1'),
 }
 
 
