@@ -364,102 +364,49 @@ def parse_expression(text: str):
     ('add', l, r), ('sub', l, r), ('cauchy', l, r), ('star', e).
     """
     alphabet, body = lang.parse_alphabet_header(text, ExprError)
-    ast = _parse_expr_body(body)
-    return alphabet, ast
+    s = lang.Scanner(body, ExprError)
+    return alphabet, s.finish(_expr(s, alphabet))
 
 
-def _parse_expr_body(src: str):
-    pos = 0
-    n = len(src)
+def _expr(s: lang.Scanner, alphabet: Alphabet):
+    return s.chain(lambda: _term(s, alphabet), {"+": "add", "-": "sub"})
 
-    def skip_ws():
-        nonlocal pos
-        while pos < n and src[pos].isspace():
-            pos += 1
 
-    def peek():
-        skip_ws()
-        return src[pos] if pos < n else None
+def _term(s: lang.Scanner, alphabet: Alphabet):
+    return s.chain(lambda: _factor(s, alphabet), {".": "cauchy"})
 
-    def expect(c):
-        nonlocal pos
-        if peek() != c:
-            raise ExprError("expected %r at position %d" % (c, pos))
-        pos += 1
 
-    def parse_expr():
-        nonlocal pos
-        node = parse_term()
-        while True:
-            c = peek()
-            if c == "+":
-                pos += 1
-                node = ("add", node, parse_term())
-            elif c == "-":
-                pos += 1
-                node = ("sub", node, parse_term())
-            else:
-                return node
-
-    def parse_term():
-        nonlocal pos
-        node = parse_factor()
-        while peek() == ".":
-            pos += 1
-            node = ("cauchy", node, parse_factor())
+def _factor(s: lang.Scanner, alphabet: Alphabet):
+    c = s.peek()
+    if c is None:
+        s.fail("unexpected end of expression")
+    if s.take("("):
+        node = _expr(s, alphabet)
+        s.expect(")")
         return node
-
-    def parse_factor():
-        nonlocal pos
-        c = peek()
-        if c is None:
-            raise ExprError("unexpected end of expression")
-        if c == "(":
-            pos += 1
-            node = parse_expr()
-            expect(")")
-            return node
-        if c == "-" or c.isdigit():
-            start = pos
-            pos += 1
-            while pos < n and src[pos].isdigit():
-                pos += 1
-            if src[start:pos] == "-":
-                return ("scale", -1, parse_factor())
-            value = int(src[start:pos])
-            if peek() == "*":
-                pos += 1
-                return ("scale", value, parse_factor())
-            return ("int", value)
-        if src.startswith("ind", pos):
-            pos += 3
-            expect("(")
-            depth = 1
-            start = pos
-            while pos < n and depth:
-                if src[pos] == "(":
-                    depth += 1
-                elif src[pos] == ")":
-                    depth -= 1
-                pos += 1
-            if depth:
-                raise ExprError("unbalanced parentheses in ind(...)")
-            return ("ind", src[start:pos - 1])
-        if src.startswith("star", pos):
-            pos += 4
-            expect("(")
-            node = parse_expr()
-            expect(")")
-            return ("star", node)
-        raise ExprError("unexpected character %r at position %d" % (c, pos))
-
-    node = parse_expr()
-    skip_ws()
-    if pos != n:
-        raise ExprError("trailing input at position %d" % pos)
-    # the parse functions refer to each other: free their cycle now, not at a full gc
-    del skip_ws, peek, expect, parse_expr, parse_term, parse_factor
-    return node
+    if c == "-" or c.isdigit():
+        start = s.pos
+        s.pos += 1
+        while s.text[s.pos:s.pos + 1].isdigit():
+            s.pos += 1
+        if s.text[start:s.pos] == "-":
+            return ("scale", -1, _factor(s, alphabet))
+        value = int(s.text[start:s.pos])
+        if s.take("*"):
+            return ("scale", value, _factor(s, alphabet))
+        return ("int", value)
+    if s.word("ind"):
+        s.expect("(")
+        start = s.pos
+        lang.regex_union(s, alphabet)   # checked here, compiled by the fold
+        s.expect(")")
+        return ("ind", s.text[start:s.pos - 1])
+    if s.word("star"):
+        s.expect("(")
+        node = _expr(s, alphabet)
+        s.expect(")")
+        return ("star", node)
+    s.fail("unexpected character %r" % c)
 
 
 def expression_uses_star(ast) -> bool:

@@ -54,7 +54,7 @@ import random
 from dataclasses import dataclass, field
 
 from .cplc import Cplc, PumpingPattern, product_monoid
-from .lang import MonoidMorphism
+from .lang import MonoidMorphism, Scanner
 
 
 class ForestError(ValueError):
@@ -329,33 +329,28 @@ def to_brackets(root: ForestNode) -> str:
 
 
 def from_brackets(text: str, mor: MonoidMorphism) -> ForestNode:
-    pos = 0
-
-    def parse():
-        nonlocal pos
-        if pos >= len(text):
-            raise ForestError("unexpected end of bracket string")
-        c = text[pos]
-        if c == "<":
-            pos += 1
-            children = []
-            while pos < len(text) and text[pos] != ">":
-                children.append(parse())
-            if pos >= len(text):
-                raise ForestError("missing '>'")
-            pos += 1
-            return _mk_node(mor, children)
-        if c == ">":
-            raise ForestError("unexpected '>'")
-        pos += 1
-        return ForestNode(value=mor.image((c,)), letter=c)
-
-    node = parse()
-    if pos != len(text):
-        raise ForestError("trailing input in bracket string")
+    """Inverse of to_brackets; blanks between tokens are ignored."""
+    s = Scanner(text, ForestError)
+    node = s.finish(_bracket_node(s, mor))
     _fix_positions(node, 1)
     _assign_uids(node)
     return node
+
+
+def _bracket_node(s: Scanner, mor: MonoidMorphism) -> ForestNode:
+    c = s.peek()
+    if c is None:
+        s.fail("unexpected end of bracket string")
+    if s.take("<"):
+        children = [_bracket_node(s, mor)]
+        while s.peek() not in (None, ">"):
+            children.append(_bracket_node(s, mor))
+        s.expect(">")
+        return _mk_node(mor, children)
+    if c not in mor.alphabet:
+        s.fail("unexpected %r" % c)
+    s.pos += 1
+    return ForestNode(value=mor.image((c,)), letter=c)
 
 
 def _fix_positions(node: ForestNode, start: int) -> int:

@@ -373,6 +373,81 @@ def strip_epsilon(dfa: Dfa) -> Dfa:
 
 
 # ---------------------------------------------------------------------------
+# the scanner shared by the three surface syntaxes (regex, .zexpr, .zmso)
+
+
+_IDENT_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
+_IDENT_CHARS = _IDENT_START | frozenset("0123456789")
+
+
+class Scanner:
+    """A cursor over a source text for recursive-descent parsers.  Blanks
+    between tokens are skipped; every error is raised as `error` with the
+    position it was found at."""
+
+    def __init__(self, text: str, error):
+        self.text = text
+        self.pos = 0
+        self.error = error
+
+    def fail(self, msg):
+        raise self.error("%s at position %d" % (msg, self.pos))
+
+    def peek(self):
+        """The next non-blank character, moving past the blanks before it;
+        None at the end."""
+        text, n = self.text, len(self.text)
+        while self.pos < n and text[self.pos].isspace():
+            self.pos += 1
+        return text[self.pos] if self.pos < n else None
+
+    def take(self, sym: str) -> bool:
+        """Consume `sym` if the text continues with it."""
+        self.peek()
+        if self.text.startswith(sym, self.pos):
+            self.pos += len(sym)
+            return True
+        return False
+
+    def expect(self, sym: str):
+        if not self.take(sym):
+            self.fail("expected %r" % sym)
+
+    def word(self, keyword: str) -> bool:
+        """Consume `keyword` if it is followed by an identifier boundary."""
+        self.peek()
+        end = self.pos + len(keyword)
+        if self.text.startswith(keyword, self.pos) and self.text[end:end + 1] not in _IDENT_CHARS:
+            self.pos = end
+            return True
+        return False
+
+    def ident(self) -> str:
+        if self.peek() not in _IDENT_START:
+            self.fail("expected identifier")
+        start = self.pos
+        while self.text[self.pos:self.pos + 1] in _IDENT_CHARS:
+            self.pos += 1
+        return self.text[start:self.pos]
+
+    def chain(self, operand, ops: dict):
+        """operand (op operand)*, folded to the left; `ops` maps each
+        operator symbol to its AST tag."""
+        node = operand()
+        while True:
+            tag = next((ops[op] for op in ops if self.take(op)), None)
+            if tag is None:
+                return node
+            node = (tag, node, operand())
+
+    def finish(self, node):
+        """`node`, after checking that nothing but blanks follows."""
+        if self.peek() is not None:
+            self.fail("trailing input")
+        return node
+
+
+# ---------------------------------------------------------------------------
 # regex surface syntax
 #
 # grammar:   union:   e  ::= e1 ('|' e1)*
@@ -380,7 +455,7 @@ def strip_epsilon(dfa: Dfa) -> Dfa:
 #            concat:  e2 ::= e3+
 #            unary:   e3 ::= atom '*'*  |  '!' e3
 #            atom:    letter | '(' e ')' | '()' (empty word) | '∅'
-# '!' binds tighter than '*' applied afterwards: "!a*" is (!a)*.
+# '!' applies to the starred operand after it: "!a*" is !(a*).
 
 
 class RegexError(ValueError):
@@ -393,98 +468,51 @@ EPS = ("eps",)
 
 def parse_regex(text: str, alphabet: Alphabet):
     """Parse the regex surface syntax into a small tuple AST."""
-    pos = 0
-    n = len(text)
+    s = Scanner(text, RegexError)
+    return s.finish(regex_union(s, alphabet))
 
-    def peek():
-        return text[pos] if pos < n else None
 
-    def skip_ws():
-        nonlocal pos
-        while pos < n and text[pos].isspace():
-            pos += 1
+def regex_union(s: Scanner, alphabet: Alphabet):
+    """The regex starting at the scanner's position; it ends before the
+    first ')' that it does not open itself."""
+    return s.chain(lambda: _regex_inter(s, alphabet), {"|": "or"})
 
-    def parse_union():
-        nonlocal pos
-        node = parse_inter()
-        skip_ws()
-        while peek() == "|":
-            pos += 1
-            node = ("or", node, parse_inter())
-            skip_ws()
+
+def _regex_inter(s: Scanner, alphabet: Alphabet):
+    return s.chain(lambda: _regex_concat(s, alphabet), {"&": "and"})
+
+
+def _regex_concat(s: Scanner, alphabet: Alphabet):
+    node = _regex_unary(s, alphabet)
+    while s.peek() not in (None, "|", "&", ")"):
+        node = ("cat", node, _regex_unary(s, alphabet))
+    return node
+
+
+def _regex_unary(s: Scanner, alphabet: Alphabet):
+    node = ("not", _regex_unary(s, alphabet)) if s.take("!") else _regex_atom(s, alphabet)
+    while s.take("*"):
+        node = ("star", node)
+    return node
+
+
+def _regex_atom(s: Scanner, alphabet: Alphabet):
+    c = s.peek()
+    if c is None:
+        s.fail("unexpected end of regex")
+    if s.take("("):
+        if s.take(")"):
+            return EPS
+        node = regex_union(s, alphabet)
+        s.expect(")")
         return node
-
-    def parse_inter():
-        nonlocal pos
-        node = parse_concat()
-        skip_ws()
-        while peek() == "&":
-            pos += 1
-            node = ("and", node, parse_concat())
-            skip_ws()
-        return node
-
-    def parse_concat():
-        nonlocal pos
-        node = parse_unary()
-        while True:
-            skip_ws()
-            c = peek()
-            if c is None or c in "|&)":
-                return node
-            node = ("cat", node, parse_unary())
-
-    def parse_unary():
-        nonlocal pos
-        skip_ws()
-        c = peek()
-        if c == "!":
-            pos += 1
-            node = ("not", parse_unary())
-        else:
-            node = parse_atom()
-        skip_ws()
-        while peek() == "*":
-            pos += 1
-            node = ("star", node)
-            skip_ws()
-        return node
-
-    def parse_atom():
-        nonlocal pos
-        skip_ws()
-        c = peek()
-        if c is None:
-            raise RegexError("unexpected end of regex")
-        if c == "(":
-            pos += 1
-            skip_ws()
-            if peek() == ")":
-                pos += 1
-                return EPS
-            node = parse_union()
-            skip_ws()
-            if peek() != ")":
-                raise RegexError("missing ')' at position %d" % pos)
-            pos += 1
-            return node
-        if c == "∅" or c == "0" and "0" not in alphabet:
-            pos += 1
-            return EMPTY
-        if c in alphabet:
-            pos += 1
-            return ("lit", c)
-        raise RegexError("unexpected character %r at position %d" % (c, pos))
-
-    skip_ws()
-    if pos >= n:
-        raise RegexError("empty regex")
-    node = parse_union()
-    skip_ws()
-    if pos != n:
-        raise RegexError("trailing input at position %d" % pos)
-    # the parse functions refer to each other: free their cycle now, not at a full gc
-    del peek, skip_ws, parse_union, parse_inter, parse_concat, parse_unary, parse_atom
+    if c == "∅" or c == "0" and "0" not in alphabet:
+        node = EMPTY
+    elif c in alphabet:
+        node = ("lit", c)
+    else:
+        s.fail("unexpected character %r" % c)
+    s.pos += 1
     return node
 
 
@@ -523,6 +551,8 @@ def parse_alphabet_header(text: str, error):
     letters = decl[1].split()
     if len(letters) == 1 and len(letters[0]) > 1:
         letters = list(letters[0])
+    if len(set(letters)) != len(letters):
+        raise error("duplicate letters in alphabet declaration")
     return Alphabet(letters), "\n".join(lines[1:])
 
 

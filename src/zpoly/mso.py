@@ -98,15 +98,16 @@ def tracked_alphabet(base: Alphabet, k: int) -> Alphabet:
                      for bits in itertools.product((0, 1), repeat=k)])
 
 
-def _exactly_one(base: Alphabet, tracks, t_index) -> Dfa:
-    """Words whose track `t_index` carries exactly one mark."""
+def _single_mark(base: Alphabet, tracks, marks, valid=lambda b, bits: True) -> Dfa:
+    """Words with exactly one position marked on the tracks `marks`, where
+    `valid(letter, bits)` holds.  States: 0 unmarked, 1 marked, 2 dead."""
     al = tracked_alphabet(base, len(tracks))
     delta = {}
-    for (a, bits) in al:
-        if bits[t_index]:
-            delta[(a, bits)] = (1, 2, 2)
+    for (b, bits) in al:
+        if any(bits[i] for i in marks):
+            delta[(b, bits)] = (1 if valid(b, bits) else 2, 2, 2)
         else:
-            delta[(a, bits)] = (0, 1, 2)
+            delta[(b, bits)] = (0, 1, 2)
     return Dfa(al, 3, 0, (1,), delta).canonical()
 
 
@@ -114,7 +115,7 @@ def _well_marked(base: Alphabet, tracks) -> Dfa:
     out = lang.universal_language(tracked_alphabet(base, len(tracks)))
     for i, t in enumerate(tracks):
         if _kind(t) == "fo":
-            out = lang.intersect(out, _exactly_one(base, tracks, i))
+            out = lang.intersect(out, _single_mark(base, tracks, (i,)))
     return out
 
 
@@ -130,20 +131,8 @@ def _lift(dfa: Dfa, base: Alphabet, old_tracks, new_tracks) -> Dfa:
     out = Dfa(al, dfa.n, dfa.initial, dfa.accepting, delta)
     for i, t in enumerate(new_tracks):
         if t not in pos and _kind(t) == "fo":
-            out = lang.intersect(out, _exactly_one(base, new_tracks, i))
+            out = lang.intersect(out, _single_mark(base, new_tracks, (i,)))
     return out.canonical()
-
-
-def _atom_letter(base: Alphabet, a, tracks, xi) -> Dfa:
-    al = tracked_alphabet(base, len(tracks))
-    # 0: not yet marked, 1: marked on an `a`, 2: dead
-    delta = {}
-    for (b, bits) in al:
-        if bits[xi]:
-            delta[(b, bits)] = (1 if b == a else 2, 2, 2)
-        else:
-            delta[(b, bits)] = (0, 1, 2)
-    return Dfa(al, 3, 0, (1,), delta).canonical()
 
 
 def _atom_less(base: Alphabet, tracks, xi, yi) -> Dfa:
@@ -167,33 +156,6 @@ def _atom_less(base: Alphabet, tracks, xi, yi) -> Dfa:
             row[2] = 3
         delta[(b, bits)] = tuple(row)
     return Dfa(al, 4, 0, (2,), delta).canonical()
-
-
-def _atom_eq(base: Alphabet, tracks, xi, yi) -> Dfa:
-    al = tracked_alphabet(base, len(tracks))
-    delta = {}
-    for (b, bits) in al:
-        bx, by = bits[xi], bits[yi]
-        if bx and by:
-            delta[(b, bits)] = (1, 2, 2)
-        elif bx or by:
-            delta[(b, bits)] = (2, 2, 2)
-        else:
-            delta[(b, bits)] = (0, 1, 2)
-    return Dfa(al, 3, 0, (1,), delta).canonical()
-
-
-def _atom_in(base: Alphabet, tracks, xi, Xi) -> Dfa:
-    al = tracked_alphabet(base, len(tracks))
-    # the x mark must fall on a position whose X bit is set
-    delta = {}
-    for (b, bits) in al:
-        bx, bX = bits[xi], bits[Xi]
-        if bx:
-            delta[(b, bits)] = (1 if bX else 2, 2, 2)
-        else:
-            delta[(b, bits)] = (0, 1, 2)
-    return Dfa(al, 3, 0, (1,), delta).canonical()
 
 
 def _project_track(dfa: Dfa, base: Alphabet, tracks, t_index) -> Dfa:
@@ -227,13 +189,13 @@ def _compile(phi, base: Alphabet, state_cap: int):
         return d, ()
     if tag == "letter":
         tracks = (phi[2],)
-        return _atom_letter(base, phi[1], tracks, 0), tracks
+        return _single_mark(base, tracks, (0,), lambda b, bits: b == phi[1]), tracks
     if tag in ("less", "eq", "in"):
         x, y = phi[1], phi[2]
         if x == y:
             if tag == "eq":
                 tracks = (x,)
-                return _exactly_one(base, tracks, 0), tracks
+                return _single_mark(base, tracks, (0,)), tracks
             if tag == "less":
                 tracks = (x,)
                 return lang.empty_language(tracked_alphabet(base, 1)), tracks
@@ -242,9 +204,10 @@ def _compile(phi, base: Alphabet, state_cap: int):
         xi, yi = tracks.index(x), tracks.index(y)
         if tag == "less":
             return _atom_less(base, tracks, xi, yi), tracks
-        if tag == "eq":
-            return _atom_eq(base, tracks, xi, yi), tracks
-        return _atom_in(base, tracks, xi, yi), tracks
+        if tag == "eq":   # one position carries both marks
+            both = lambda b, bits: bits[xi] and bits[yi]
+            return _single_mark(base, tracks, (xi, yi), both), tracks
+        return _single_mark(base, tracks, (xi,), lambda b, bits: bits[yi]), tracks
     if tag == "not":
         sub, tracks = _compile(phi[1], base, state_cap)
         comp = lang.complement(sub)
@@ -419,129 +382,61 @@ def count_to_cplc(phi, variables, base: Alphabet) -> Cplc:
 # sugar: <=, >=, >, !=, succ(x,y), first(x), last(x), forall v. phi.
 
 
-_IDENT_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CHARS = _IDENT_START | frozenset("0123456789")
-
-
-class _FormulaParser:
+class _FormulaParser(lang.Scanner):
     def __init__(self, text: str, alphabet: Alphabet):
-        self.text = text
-        self.pos = 0
+        super().__init__(text, MsoError)
         self.alphabet = alphabet
 
-    def error(self, msg):
-        raise MsoError("%s at position %d" % (msg, self.pos))
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self):
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else None
-
-    def try_word(self, word):
-        self.skip_ws()
-        end = self.pos + len(word)
-        if self.text[self.pos:end] == word and \
-                (end >= len(self.text) or self.text[end] not in _IDENT_CHARS):
-            self.pos = end
-            return True
-        return False
-
-    def try_sym(self, sym):
-        self.skip_ws()
-        if self.text.startswith(sym, self.pos):
-            self.pos += len(sym)
-            return True
-        return False
-
-    def expect_sym(self, sym):
-        if not self.try_sym(sym):
-            self.error("expected %r" % sym)
-
-    def ident(self):
-        self.skip_ws()
-        if self.pos >= len(self.text) or self.text[self.pos] not in _IDENT_START:
-            self.error("expected identifier")
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] in _IDENT_CHARS:
-            self.pos += 1
-        return self.text[start:self.pos]
-
-    # formula grammar --------------------------------------------------------
+    def arguments(self, n: int) -> list:
+        """`(v1, ..., vn)`: n identifiers in parentheses."""
+        self.expect("(")
+        names = [self.ident()]
+        for _ in range(n - 1):
+            self.expect(",")
+            names.append(self.ident())
+        self.expect(")")
+        return names
 
     def formula(self):
-        left = self.disjunction()
-        if self.try_sym("->"):
-            right = self.formula()
-            return ("or", ("not", left), right)
+        left = self.chain(self.conjunction, {"|": "or"})
+        if self.take("->"):
+            return ("or", ("not", left), self.formula())
         return left
 
-    def disjunction(self):
-        node = self.conjunction()
-        while True:
-            self.skip_ws()
-            if self.text.startswith("->", self.pos):
-                return node
-            if self.try_sym("|"):
-                node = ("or", node, self.conjunction())
-            else:
-                return node
-
     def conjunction(self):
-        node = self.unary()
-        while self.try_sym("&"):
-            node = ("and", node, self.unary())
-        return node
+        return self.chain(self.unary, {"&": "and"})
 
     def unary(self):
-        if self.try_sym("!"):
+        if self.take("!"):
             return ("not", self.unary())
-        if self.try_word("exists"):
+        if self.word("exists"):
             v = self.ident()
-            self.expect_sym(".")
+            self.expect(".")
             return ("exists", v, self.formula())
-        if self.try_word("forall"):
+        if self.word("forall"):
             v = self.ident()
-            self.expect_sym(".")
+            self.expect(".")
             return ("not", ("exists", v, ("not", self.formula())))
-        if self.peek() == "(":
-            self.expect_sym("(")
+        if self.take("("):
             node = self.formula()
-            self.expect_sym(")")
+            self.expect(")")
             return node
         return self.atom()
 
     def atom(self):
-        if self.try_word("true"):
+        if self.word("true"):
             return ("true",)
-        if self.try_word("false"):
+        if self.word("false"):
             return ("false",)
-        if self.try_word("succ"):
-            self.expect_sym("(")
-            x = self.ident()
-            self.expect_sym(",")
-            y = self.ident()
-            self.expect_sym(")")
-            return _succ(x, y)
-        if self.try_word("first"):
-            self.expect_sym("(")
-            x = self.ident()
-            self.expect_sym(")")
-            return ("not", ("exists", "_z", ("less", "_z", x)))
-        if self.try_word("last"):
-            self.expect_sym("(")
-            x = self.ident()
-            self.expect_sym(")")
-            return ("not", ("exists", "_z", ("less", x, "_z")))
+        if self.word("succ"):
+            return _succ(*self.arguments(2))
+        if self.word("first"):
+            return ("not", ("exists", "_z", ("less", "_z", *self.arguments(1))))
+        if self.word("last"):
+            return ("not", ("exists", "_z", ("less", *self.arguments(1), "_z")))
         name = self.ident()
-        self.skip_ws()
-        if self.peek() == "(" and name in self.alphabet:
-            self.expect_sym("(")
-            x = self.ident()
-            self.expect_sym(")")
-            return ("letter", name, x)
+        if name in self.alphabet and self.peek() == "(":
+            return ("letter", name, *self.arguments(1))
         # relational atom
         for sym, build in (
             ("<=", lambda a, b: ("or", ("less", a, b), ("eq", a, b))),
@@ -551,15 +446,15 @@ class _FormulaParser:
             (">", lambda a, b: ("less", b, a)),
             ("=", lambda a, b: ("eq", a, b)),
         ):
-            if self.try_sym(sym):
+            if self.take(sym):
                 other = self.ident()
                 return build(name, other)
-        if self.try_word("in"):
+        if self.word("in"):
             other = self.ident()
             if not is_so(other):
-                self.error("membership needs a second-order variable")
+                self.fail("membership needs a second-order variable")
             return ("in", name, other)
-        self.error("cannot parse atom starting with %r" % name)
+        self.fail("cannot parse atom starting with %r" % name)
 
 
 def _succ(x, y):
@@ -573,19 +468,16 @@ def parse_count(text: str):
     `count[v1,...,vk] formula`.  Returns (alphabet, variables, formula)."""
     alphabet, body = lang.parse_alphabet_header(text, MsoError)
     p = _FormulaParser(body, alphabet)
-    if not p.try_word("count"):
-        raise MsoError("expected 'count[...]'")
-    p.expect_sym("[")
+    if not p.word("count"):
+        p.fail("expected 'count[...]'")
+    p.expect("[")
     variables = []
     if p.peek() != "]":
         variables.append(p.ident())
-        while p.try_sym(","):
+        while p.take(","):
             variables.append(p.ident())
-    p.expect_sym("]")
-    phi = p.formula()
-    p.skip_ws()
-    if p.pos != len(p.text):
-        p.error("trailing input")
+    p.expect("]")
+    phi = p.finish(p.formula())
     if len(set(variables)) != len(variables):
         raise MsoError("duplicate count variables")
     return alphabet, tuple(variables), phi

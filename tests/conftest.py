@@ -14,9 +14,9 @@ from fractions import Fraction
 import pytest
 
 from zpoly.exact import QMat, UPoly
-from zpoly.lang import Alphabet, compile_regex
-from zpoly.cplc import indicator_cplc, constant_cplc
-from zpoly.mso import is_so
+from zpoly.lang import Alphabet, RegexError, compile_regex, parse_alphabet_header
+from zpoly.cplc import ExprError, indicator_cplc, constant_cplc
+from zpoly.mso import MsoError, is_so
 
 
 # ---------------------------------------------------------------------------
@@ -280,3 +280,358 @@ def twelve_term_function():
         term = term.scale(1 if i == 0 else (rng.randint(-2, 2) or 1))
         total = term if total is None else total.add(term)
     return total
+
+
+# ---------------------------------------------------------------------------
+# the three surface-syntax parsers as they were before they shared
+# `lang.Scanner`: independent oracles for the differential parser tests
+
+
+def oracle_parse_regex(text: str, alphabet):
+    pos = 0
+    n = len(text)
+
+    def peek():
+        return text[pos] if pos < n else None
+
+    def skip_ws():
+        nonlocal pos
+        while pos < n and text[pos].isspace():
+            pos += 1
+
+    def parse_union():
+        nonlocal pos
+        node = parse_inter()
+        skip_ws()
+        while peek() == "|":
+            pos += 1
+            node = ("or", node, parse_inter())
+            skip_ws()
+        return node
+
+    def parse_inter():
+        nonlocal pos
+        node = parse_concat()
+        skip_ws()
+        while peek() == "&":
+            pos += 1
+            node = ("and", node, parse_concat())
+            skip_ws()
+        return node
+
+    def parse_concat():
+        nonlocal pos
+        node = parse_unary()
+        while True:
+            skip_ws()
+            c = peek()
+            if c is None or c in "|&)":
+                return node
+            node = ("cat", node, parse_unary())
+
+    def parse_unary():
+        nonlocal pos
+        skip_ws()
+        c = peek()
+        if c == "!":
+            pos += 1
+            node = ("not", parse_unary())
+        else:
+            node = parse_atom()
+        skip_ws()
+        while peek() == "*":
+            pos += 1
+            node = ("star", node)
+            skip_ws()
+        return node
+
+    def parse_atom():
+        nonlocal pos
+        skip_ws()
+        c = peek()
+        if c is None:
+            raise RegexError("unexpected end of regex")
+        if c == "(":
+            pos += 1
+            skip_ws()
+            if peek() == ")":
+                pos += 1
+                return ("eps",)
+            node = parse_union()
+            skip_ws()
+            if peek() != ")":
+                raise RegexError("missing ')' at position %d" % pos)
+            pos += 1
+            return node
+        if c == "∅" or c == "0" and "0" not in alphabet:
+            pos += 1
+            return ("empty",)
+        if c in alphabet:
+            pos += 1
+            return ("lit", c)
+        raise RegexError("unexpected character %r at position %d" % (c, pos))
+
+    skip_ws()
+    if pos >= n:
+        raise RegexError("empty regex")
+    node = parse_union()
+    skip_ws()
+    if pos != n:
+        raise RegexError("trailing input at position %d" % pos)
+    return node
+
+
+def oracle_parse_expression(text: str):
+    alphabet, src = parse_alphabet_header(text, ExprError)
+    pos = 0
+    n = len(src)
+
+    def skip_ws():
+        nonlocal pos
+        while pos < n and src[pos].isspace():
+            pos += 1
+
+    def peek():
+        skip_ws()
+        return src[pos] if pos < n else None
+
+    def expect(c):
+        nonlocal pos
+        if peek() != c:
+            raise ExprError("expected %r at position %d" % (c, pos))
+        pos += 1
+
+    def parse_expr():
+        nonlocal pos
+        node = parse_term()
+        while True:
+            c = peek()
+            if c == "+":
+                pos += 1
+                node = ("add", node, parse_term())
+            elif c == "-":
+                pos += 1
+                node = ("sub", node, parse_term())
+            else:
+                return node
+
+    def parse_term():
+        nonlocal pos
+        node = parse_factor()
+        while peek() == ".":
+            pos += 1
+            node = ("cauchy", node, parse_factor())
+        return node
+
+    def parse_factor():
+        nonlocal pos
+        c = peek()
+        if c is None:
+            raise ExprError("unexpected end of expression")
+        if c == "(":
+            pos += 1
+            node = parse_expr()
+            expect(")")
+            return node
+        if c == "-" or c.isdigit():
+            start = pos
+            pos += 1
+            while pos < n and src[pos].isdigit():
+                pos += 1
+            if src[start:pos] == "-":
+                return ("scale", -1, parse_factor())
+            value = int(src[start:pos])
+            if peek() == "*":
+                pos += 1
+                return ("scale", value, parse_factor())
+            return ("int", value)
+        if src.startswith("ind", pos):
+            pos += 3
+            expect("(")
+            depth = 1
+            start = pos
+            while pos < n and depth:
+                if src[pos] == "(":
+                    depth += 1
+                elif src[pos] == ")":
+                    depth -= 1
+                pos += 1
+            if depth:
+                raise ExprError("unbalanced parentheses in ind(...)")
+            return ("ind", src[start:pos - 1])
+        if src.startswith("star", pos):
+            pos += 4
+            expect("(")
+            node = parse_expr()
+            expect(")")
+            return ("star", node)
+        raise ExprError("unexpected character %r at position %d" % (c, pos))
+
+    node = parse_expr()
+    skip_ws()
+    if pos != n:
+        raise ExprError("trailing input at position %d" % pos)
+    return alphabet, node
+
+
+_IDENT_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
+_IDENT_CHARS = _IDENT_START | frozenset("0123456789")
+
+
+class _OracleFormulaParser:
+    def __init__(self, text: str, alphabet):
+        self.text = text
+        self.pos = 0
+        self.alphabet = alphabet
+
+    def error(self, msg):
+        raise MsoError("%s at position %d" % (msg, self.pos))
+
+    def skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self):
+        self.skip_ws()
+        return self.text[self.pos] if self.pos < len(self.text) else None
+
+    def try_word(self, word):
+        self.skip_ws()
+        end = self.pos + len(word)
+        if self.text[self.pos:end] == word and \
+                (end >= len(self.text) or self.text[end] not in _IDENT_CHARS):
+            self.pos = end
+            return True
+        return False
+
+    def try_sym(self, sym):
+        self.skip_ws()
+        if self.text.startswith(sym, self.pos):
+            self.pos += len(sym)
+            return True
+        return False
+
+    def expect_sym(self, sym):
+        if not self.try_sym(sym):
+            self.error("expected %r" % sym)
+
+    def ident(self):
+        self.skip_ws()
+        if self.pos >= len(self.text) or self.text[self.pos] not in _IDENT_START:
+            self.error("expected identifier")
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos] in _IDENT_CHARS:
+            self.pos += 1
+        return self.text[start:self.pos]
+
+    def formula(self):
+        left = self.disjunction()
+        if self.try_sym("->"):
+            right = self.formula()
+            return ("or", ("not", left), right)
+        return left
+
+    def disjunction(self):
+        node = self.conjunction()
+        while True:
+            self.skip_ws()
+            if self.text.startswith("->", self.pos):
+                return node
+            if self.try_sym("|"):
+                node = ("or", node, self.conjunction())
+            else:
+                return node
+
+    def conjunction(self):
+        node = self.unary()
+        while self.try_sym("&"):
+            node = ("and", node, self.unary())
+        return node
+
+    def unary(self):
+        if self.try_sym("!"):
+            return ("not", self.unary())
+        if self.try_word("exists"):
+            v = self.ident()
+            self.expect_sym(".")
+            return ("exists", v, self.formula())
+        if self.try_word("forall"):
+            v = self.ident()
+            self.expect_sym(".")
+            return ("not", ("exists", v, ("not", self.formula())))
+        if self.peek() == "(":
+            self.expect_sym("(")
+            node = self.formula()
+            self.expect_sym(")")
+            return node
+        return self.atom()
+
+    def atom(self):
+        if self.try_word("true"):
+            return ("true",)
+        if self.try_word("false"):
+            return ("false",)
+        if self.try_word("succ"):
+            self.expect_sym("(")
+            x = self.ident()
+            self.expect_sym(",")
+            y = self.ident()
+            self.expect_sym(")")
+            return ("and", ("less", x, y),
+                    ("not", ("exists", "_z", ("and", ("less", x, "_z"),
+                                              ("less", "_z", y)))))
+        if self.try_word("first"):
+            self.expect_sym("(")
+            x = self.ident()
+            self.expect_sym(")")
+            return ("not", ("exists", "_z", ("less", "_z", x)))
+        if self.try_word("last"):
+            self.expect_sym("(")
+            x = self.ident()
+            self.expect_sym(")")
+            return ("not", ("exists", "_z", ("less", x, "_z")))
+        name = self.ident()
+        self.skip_ws()
+        if self.peek() == "(" and name in self.alphabet:
+            self.expect_sym("(")
+            x = self.ident()
+            self.expect_sym(")")
+            return ("letter", name, x)
+        for sym, build in (
+            ("<=", lambda a, b: ("or", ("less", a, b), ("eq", a, b))),
+            (">=", lambda a, b: ("or", ("less", b, a), ("eq", a, b))),
+            ("!=", lambda a, b: ("not", ("eq", a, b))),
+            ("<", lambda a, b: ("less", a, b)),
+            (">", lambda a, b: ("less", b, a)),
+            ("=", lambda a, b: ("eq", a, b)),
+        ):
+            if self.try_sym(sym):
+                other = self.ident()
+                return build(name, other)
+        if self.try_word("in"):
+            other = self.ident()
+            if not is_so(other):
+                self.error("membership needs a second-order variable")
+            return ("in", name, other)
+        self.error("cannot parse atom starting with %r" % name)
+
+
+def oracle_parse_count(text: str):
+    alphabet, body = parse_alphabet_header(text, MsoError)
+    p = _OracleFormulaParser(body, alphabet)
+    if not p.try_word("count"):
+        raise MsoError("expected 'count[...]'")
+    p.expect_sym("[")
+    variables = []
+    if p.peek() != "]":
+        variables.append(p.ident())
+        while p.try_sym(","):
+            variables.append(p.ident())
+    p.expect_sym("]")
+    phi = p.formula()
+    p.skip_ws()
+    if p.pos != len(p.text):
+        p.error("trailing input")
+    if len(set(variables)) != len(variables):
+        raise MsoError("duplicate count variables")
+    return alphabet, tuple(variables), phi

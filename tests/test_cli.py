@@ -1,6 +1,7 @@
 """Command line interface: inputs, subcommands, exit codes."""
 
 import contextlib
+import copy
 import io
 import json
 import os
@@ -11,7 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zpoly.cli import build_parser, main
+from zpoly import cplc
+from zpoly.cli import InputError, build_parser, load_function, load_morphism, main
 
 SIGNED_ZEXPR = """alphabet = a
 ind(a(aa)*) . ind(a(aa)*) + ind((aa)*) . ind((aa)*)
@@ -453,3 +455,70 @@ def test_mutated_inputs_exit_0_or_3(source, argv):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([a.replace("{f}", path) for a in argv])
     assert code in (0, 3), (text, argv, code, err.getvalue())
+
+
+# mutated JSON payloads: linear representations, Cauchy combinations, morphisms
+
+FUNCTION_JSON = [LINREP, *(cplc.expression_to_cplc(*cplc.parse_expression(t)).to_json()
+                           for t in (COUNT_A_ZEXPR, SIGNED_ZEXPR))]
+MORPHISM_SEEDS = [json.loads(MORPHISM_JSON), json.loads(ZERO_X_JSON)]
+JSON_VALUES = [0, 1, -1, 2, 3, 1.5, "1", "-2", "1/2", "1/0", "x", "a", "ab", "", None, True,
+               [], {}, [0], [[1]], ["a", "a"], ["a", "b", "c"], {"a": 0}]
+
+
+def json_value():
+    return st.sampled_from(JSON_VALUES).map(copy.deepcopy)
+
+
+@st.composite
+def mutated_payload(draw, node):
+    """`node` with one entry, at a drawn depth, deleted, replaced by a drawn
+    value, or renamed (for object keys)."""
+    if not isinstance(node, (dict, list)) or not node:
+        return draw(json_value())
+    key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+    op = draw(st.sampled_from(["descend"] * 4 + ["delete", "replace", "rename"]))
+    if op == "descend":
+        node[key] = draw(mutated_payload(node[key]))
+    elif op == "delete":
+        del node[key]
+    elif op == "replace" or isinstance(node, list):
+        node[key] = draw(json_value())
+    else:
+        node[draw(st.sampled_from(["a", "b", "c", "ab", "", "1"]))] = node.pop(key)
+    return node
+
+
+@st.composite
+def mutated_json(draw, seeds):
+    data = copy.deepcopy(draw(st.sampled_from(seeds)))
+    for _ in range(draw(st.integers(0, 3))):
+        data = draw(mutated_payload(data))
+    return json.dumps(data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([["compile", "{f}"], ["compile", "{f}", "--target", "linrep"],
+                        ["minimize", "{f}"], ["eval", "{f}"], ["eval", "{f}", "abba"],
+                        ["equiv", "{f}", "{f}"], ["spectrum", "{f}"], ["growth", "{f}"],
+                        ["forest", "{f}", "abaab"]]).flatmap(
+    lambda argv: st.tuples(mutated_json(MORPHISM_SEEDS if argv[0] == "forest" else FUNCTION_JSON),
+                           st.just(argv))))
+def test_mutated_json_never_escapes_main(source):
+    text, argv = source
+    """No exception escapes `main`, and a payload that the loader rejects
+    exits 3."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([a.replace("{f}", path) for a in argv])
+        try:
+            (load_morphism if argv[0] == "forest" else load_function)(path)
+            rejected = False
+        except InputError:
+            rejected = True
+    assert code in (0, 1, 2, 3), (text, argv, code, err.getvalue())
+    assert code == 3 or not rejected, (text, argv, code, err.getvalue())

@@ -149,6 +149,12 @@ def test_brackets_round_trip():
     assert to_brackets(back) == text
 
 
+@pytest.mark.parametrize("text", ["", "<>", "<ab", "<ax>", "ab>", "<a<b>"])
+def test_malformed_brackets_raise_forest_error(text):
+    with pytest.raises(ForestError):
+        from_brackets(text, sign_morphism())
+
+
 def test_to_dot_mentions_all_leaves():
     mor = trivial_morphism()
     root = simon_forest(mor, ("a", "a", "a"))
