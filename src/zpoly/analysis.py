@@ -24,9 +24,7 @@ from dataclasses import dataclass
 
 from . import forests, series
 from .cplc import Cplc, PumpingPattern, product_monoid
-from .exact import (MPoly, exact_entry, exact_rows, newton_coefficients, newton_degree,
-                    newton_to_mpoly, newton_values, rows_identity, rows_mul,
-                    rows_power)
+from .exact import MPoly, newton_coefficients, newton_degree, newton_to_mpoly, newton_values
 from .lang import monoid_aperiodic
 
 
@@ -70,40 +68,28 @@ class GrowthVerdict:
 # pattern polynomials
 
 
-def _vecmat(v, cols):
-    return [sum(map(operator.mul, v, c)) for c in cols]
-
-
-def _matvec(rows, v):
-    return [sum(map(operator.mul, r, v)) for r in rows]
-
-
 class _Family:
     """Values of one representation on pumping families, exact and in
     Python ints wherever the representation's entries are integral.
 
-    `powers` maps (word, exponent) to mu(word)^exponent as (rows, columns).
-    One object serves every pattern of a growth_degree call, so pump words
-    shared between patterns are powered once.
+    `powers` maps (word, exponent) to the pair (mu(word)^exponent, its
+    transpose); a row vector steps as transpose.matvec.  One object serves
+    every pattern of a growth_degree call, so pump words shared between
+    patterns are powered once.
     """
 
     def __init__(self, rep: series.LinRep):
-        self.I = [exact_entry(x) for x in rep.I]
-        self.F = [exact_entry(x) for x in rep.F]
-        self.letters = {a: exact_rows(m) for a, m in rep.mats.items()}
-        self.identity = rows_identity(rep.dim)
+        self.rep = rep
         self.powers = {}
 
     def matrix(self, word, e: int = 1):
         key = (word, e)
         if key not in self.powers:
             if e == 1:
-                rows = self.identity
-                for a in word:
-                    rows = rows_mul(rows, self.letters[a])
+                m = self.rep.word_matrix(word)
             else:
-                rows = rows_power(self.matrix(word)[0], e)
-            self.powers[key] = (rows, list(zip(*rows)))
+                m = self.matrix(word)[0].power(e)
+            self.powers[key] = (m, m.transpose())
         return self.powers[key]
 
     def grid_values(self, pattern: PumpingPattern, start: int, d: int, scale: int):
@@ -117,33 +103,33 @@ class _Family:
         """
         pumps, alphas = pattern.pumps, pattern.alphas
         ell = len(pumps)
-        u = self.I
+        u = self.rep.I
         if alphas[0]:
-            u = _vecmat(u, self.matrix(alphas[0])[1])
+            u = self.matrix(alphas[0])[1].matvec(u)
         if ell == 0:
-            return [sum(map(operator.mul, u, self.F))]
-        g = self.F
+            return [sum(map(operator.mul, u, self.rep.F))]
+        g = self.rep.F
         if alphas[-1]:
-            g = _matvec(self.matrix(alphas[-1])[0], g)
-        g = _matvec(self.matrix(pumps[-1], scale * start)[0], g)
+            g = self.matrix(alphas[-1])[0].matvec(g)
+        g = self.matrix(pumps[-1], scale * start)[0].matvec(g)
         last_step = self.matrix(pumps[-1], scale)[0]
         columns = [g]
         for _ in range(d):
-            columns.append(_matvec(last_step, columns[-1]))
+            columns.append(last_step.matvec(columns[-1]))
         out = []
 
         def walk(j, u):
             if j == ell - 1:
                 out.extend(sum(map(operator.mul, u, g)) for g in columns)
                 return
-            u = _vecmat(u, self.matrix(pumps[j], scale * start)[1])
+            u = self.matrix(pumps[j], scale * start)[1].matvec(u)
             step = self.matrix(pumps[j], scale)[1]
             alpha = alphas[j + 1]
             connector = self.matrix(alpha)[1] if alpha else None
             for t in range(d + 1):
                 if t:
-                    u = _vecmat(u, step)
-                walk(j + 1, _vecmat(u, connector) if alpha else u)
+                    u = step.matvec(u)
+                walk(j + 1, connector.matvec(u) if alpha else u)
 
         walk(0, u)
         del walk   # it refers to itself: free its cycle (and the family) now, not at a full gc

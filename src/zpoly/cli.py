@@ -153,13 +153,8 @@ def cmd_compile(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    kind, value = load_function(args.input)
-    word = parse_word(args.word, value.alphabet)
-    if kind == "cplc":
-        print(value.eval(word))
-    else:
-        v = value.eval(word)
-        print(v if v.denominator != 1 else v.numerator)
+    _, value = load_function(args.input)
+    print(value.eval(parse_word(args.word, value.alphabet)))
     return EXIT_OK
 
 

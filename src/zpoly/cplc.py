@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import lang, series
 from .lang import Alphabet, Dfa
@@ -121,9 +120,7 @@ class Cplc:
             rep = rep.scale(coef)
             total = rep if total is None else total.add(rep)
         if total is None:
-            return series.LinRep(self.alphabet, (Fraction(0),),
-                                 {a: [[Fraction(0)]] for a in self.alphabet},
-                                 (Fraction(0),))
+            return series.LinRep(self.alphabet, (0,), {a: [[0]] for a in self.alphabet}, (0,))
         return total
 
     def factor_dfas(self):
@@ -357,6 +354,9 @@ class ExprError(ValueError):
     pass
 
 
+_DIGITS = frozenset("0123456789")   # str.isdigit also admits "²" and "٣"
+
+
 def parse_expression(text: str):
     """Parse an expression file; returns (alphabet, ast).
 
@@ -384,10 +384,10 @@ def _factor(s: lang.Scanner, alphabet: Alphabet):
         node = _expr(s, alphabet)
         s.expect(")")
         return node
-    if c == "-" or c.isdigit():
+    if c == "-" or c in _DIGITS:
         start = s.pos
         s.pos += 1
-        while s.text[s.pos:s.pos + 1].isdigit():
+        while s.text[s.pos:s.pos + 1] in _DIGITS:
             s.pos += 1
         if s.text[start:s.pos] == "-":
             return ("scale", -1, _factor(s, alphabet))

@@ -1,11 +1,13 @@
 """Exact rational linear algebra and polynomial utilities.
 
 No floating point is used anywhere, so results are reproducible and
-comparisons are exact.  Values are Python ints where they are integral and
-`fractions.Fraction` otherwise: the row basis scales each vector to
-integers once and eliminates fraction-free, and the integer matrix helpers
-keep integral entries as ints; the public results (coordinates, matrices,
-polynomials) are Fractions.
+comparisons are exact.  Matrices, representation vectors and row-basis
+vectors and coordinates keep every entry in one normal form, through
+`exact_entry`: a Python int when it is integral, a `fractions.Fraction`
+otherwise.  Products of integral matrices therefore never build a
+Fraction, and no `/` touches a matrix or vector entry.  Polynomials
+(`UPoly`, `MPoly`) have Fraction coefficients, since division of
+polynomials divides them.
 """
 
 from __future__ import annotations
@@ -22,8 +24,16 @@ def _frac(x) -> Fraction:
     return Fraction(x)
 
 
+def exact_entry(x):
+    """x as an int when it is integral, else as a Fraction."""
+    if type(x) is int:
+        return x
+    x = _frac(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 # ---------------------------------------------------------------------------
-# matrices (tuple-of-tuples of Fraction)
+# matrices (tuples of rows, entries in the normal form of `exact_entry`)
 
 
 class QMat:
@@ -34,8 +44,10 @@ class QMat:
     def __init__(self, rows):
         # Hot paths build tuples from lists: tuple() of a generator fills a
         # 10-slot tuple and shrinks it, so once freed it stays in CPython's
-        # free list of its final size until the next full collection.
-        self.rows = tuple([tuple([_frac(x) for x in r]) for r in rows])
+        # free list of its final size until the next full collection.  Ints
+        # skip the call to exact_entry.
+        self.rows = tuple([tuple([x if type(x) is int else exact_entry(x) for x in r])
+                           for r in rows])
         self.nrows = len(self.rows)
         self.ncols = len(self.rows[0]) if self.rows else 0
         for r in self.rows:
@@ -44,11 +56,11 @@ class QMat:
 
     @staticmethod
     def identity(n: int) -> "QMat":
-        return QMat([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
+        return QMat([[int(i == j) for j in range(n)] for i in range(n)])
 
     @staticmethod
     def zero(n: int, m: int) -> "QMat":
-        return QMat([[Fraction(0)] * m for _ in range(n)])
+        return QMat([[0] * m for _ in range(n)])
 
     def __eq__(self, other):
         return isinstance(other, QMat) and self.rows == other.rows
@@ -66,30 +78,28 @@ class QMat:
         return self + other.scale(-1)
 
     def scale(self, c) -> "QMat":
-        c = _frac(c)
+        c = exact_entry(c)
         return QMat([[c * x for x in r] for r in self.rows])
 
     def __mul__(self, other: "QMat") -> "QMat":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
         cols = list(zip(*other.rows))
-        return QMat([[sum(a * b for a, b in zip(row, col)) for col in cols]
-                     for row in self.rows])
+        return QMat([[sum(map(operator.mul, r, c)) for c in cols] for r in self.rows])
 
     def matvec(self, v):
         """self @ v for a vector given as a tuple; returns a tuple."""
-        return tuple([sum(a * b for a, b in zip(row, v)) for row in self.rows])
+        return tuple([sum(map(operator.mul, r, v)) for r in self.rows])
 
     def vecmat(self, v):
         """v @ self for a row vector; returns a tuple."""
-        return tuple([sum(v[i] * self.rows[i][j] for i in range(self.nrows))
-                      for j in range(self.ncols)])
+        return tuple([sum(map(operator.mul, v, c)) for c in zip(*self.rows)])
 
     def transpose(self) -> "QMat":
         return QMat(list(zip(*self.rows)))
 
-    def trace(self) -> Fraction:
-        return sum(self.rows[i][i] for i in range(self.nrows))
+    def trace(self):
+        return exact_entry(sum(self.rows[i][i] for i in range(self.nrows)))
 
     def is_zero(self) -> bool:
         return all(x == 0 for r in self.rows for x in r)
@@ -102,26 +112,13 @@ class QMat:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def __repr__(self):
         return "QMat(%r)" % (self.rows,)
-
-
-# Integer views of matrices, as tuples of rows: entries stay Python ints
-# where they are integral, so products of integral matrices never build a
-# Fraction.
-
-
-def exact_entry(x):
-    """x as an int when it is integral, else unchanged (a Fraction)."""
-    return x.numerator if x.denominator == 1 else x
-
-
-def exact_rows(m: QMat):
-    return tuple([tuple([exact_entry(x) for x in r]) for r in m.rows])
 
 
 def common_denominator(xs) -> int:
@@ -133,27 +130,6 @@ def common_denominator(xs) -> int:
 def integer_row(v, d: int):
     """d v as a list of ints; d must be a multiple of common_denominator(v)."""
     return [x.numerator * (d // x.denominator) for x in v]
-
-
-def rows_identity(n: int):
-    return tuple([tuple([int(i == j) for j in range(n)]) for i in range(n)])
-
-
-def rows_mul(a, b):
-    cols = list(zip(*b))
-    return tuple([tuple([exact_entry(sum(map(operator.mul, r, c))) for c in cols])
-                  for r in a])
-
-
-def rows_power(a, e: int):
-    result = rows_identity(len(a))
-    while e:
-        if e & 1:
-            result = rows_mul(result, a)
-        e >>= 1
-        if e:
-            a = rows_mul(a, a)
-    return result
 
 
 class RowBasis:
@@ -168,12 +144,13 @@ class RowBasis:
 
     `insert` returns True when the vector enlarged the span.  `coords`
     expresses a vector in the inserted vectors, or returns None when the
-    vector is outside the span.
+    vector is outside the span (and, with insert=True, inserts it from the
+    same elimination pass).
     """
 
     def __init__(self, dim: int):
         self.dim = dim
-        self.vectors = []   # inserted vectors as Fraction tuples, in insertion order
+        self.vectors = []   # inserted vectors, in insertion order
         self._scales = []   # s_j
         self._rows = []     # (pivot column, echelon row, combination)
 
@@ -197,11 +174,8 @@ class RowBasis:
             m *= r
         return s, u, a, m
 
-    def contains(self, v) -> bool:
-        return not any(self._reduce(v)[1])
-
-    def insert(self, v) -> bool:
-        s, u, a, m = self._reduce(v)
+    def _extend(self, v, s, u, a, m) -> bool:
+        """Insert v, given its reduction (s, u, a, m); False when u is zero."""
         pivot = next((j for j, x in enumerate(u) if x), None)
         if pivot is None:
             return False
@@ -210,18 +184,27 @@ class RowBasis:
         g = math.gcd(*u, *combo)
         if u[pivot] < 0:
             g = -g
-        self.vectors.append(tuple([_frac(x) for x in v]))
+        self.vectors.append(tuple([exact_entry(x) for x in v]))
         self._scales.append(s)
         self._rows.append((pivot, [x // g for x in u], [x // g for x in combo]))
         return True
 
-    def coords(self, v):
-        """Coefficients c with v == sum c_i * vectors[i], or None."""
+    def contains(self, v) -> bool:
+        return not any(self._reduce(v)[1])
+
+    def insert(self, v) -> bool:
+        return self._extend(v, *self._reduce(v))
+
+    def coords(self, v, insert: bool = False):
+        """Coefficients c with v == sum c_i * vectors[i], or None when v is
+        outside the span; with insert=True, v is then inserted."""
         s, u, a, m = self._reduce(v)
         if any(u):
+            if insert:
+                self._extend(v, s, u, a, m)
             return None
         d = m * s
-        return tuple([Fraction(x * sj, d) for x, sj in zip(a, self._scales)])
+        return tuple([exact_entry(Fraction(x * sj, d)) for x, sj in zip(a, self._scales)])
 
     def __len__(self):
         return len(self.vectors)
@@ -353,15 +336,15 @@ def char_poly(m: QMat) -> UPoly:
     if n != m.ncols:
         raise ValueError("not square")
     d = common_denominator(x for r in m.rows for x in r)
-    b = [integer_row(r, d) for r in m.rows]
+    b = m.scale(d)
     coeffs = [1]    # c_0 .. c_n, for X^n .. X^0
     mk = b
     for k in range(1, n + 1):
-        ck = -sum(mk[i][i] for i in range(n)) // k
+        ck = -mk.trace() // k
         coeffs.append(ck)
         if k < n:
-            mk = rows_mul([[x + ck if i == j else x for j, x in enumerate(row)]
-                           for i, row in enumerate(mk)], b)
+            mk = QMat([[x + ck if i == j else x for j, x in enumerate(row)]
+                       for i, row in enumerate(mk.rows)]) * b
     return UPoly([Fraction(c, d ** i) for i, c in reversed(list(enumerate(coeffs)))])
 
 

@@ -9,7 +9,6 @@ which lets the rest of the package use them as dictionary keys.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
 from math import lcm
@@ -553,6 +552,9 @@ def parse_alphabet_header(text: str, error):
         letters = list(letters[0])
     if len(set(letters)) != len(letters):
         raise error("duplicate letters in alphabet declaration")
+    if any(len(x) > 1 for x in letters):
+        raise error("letters must be single characters (regexes and words "
+                    "read one character per letter)")
     return Alphabet(letters), "\n".join(lines[1:])
 
 
@@ -811,7 +813,3 @@ def dfa_from_json(data: dict) -> Dfa:
 def is_index(q, n: int) -> bool:
     """Whether q is an int (not a bool) in 0..n-1."""
     return type(q) is int and 0 <= q < n
-
-
-def dfa_dumps(dfa: Dfa) -> str:
-    return json.dumps(dfa_to_json(dfa), indent=2)

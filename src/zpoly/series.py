@@ -18,8 +18,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import (QMat, RowBasis, char_poly, classify_roots, common_denominator,
-                    exact_entry, exact_rows, integer_row, rows_identity, rows_mul)
+from .exact import QMat, RowBasis, char_poly, classify_roots, common_denominator, exact_entry
 from .lang import Alphabet
 
 
@@ -28,10 +27,10 @@ class LinRep:
 
     def __init__(self, alphabet: Alphabet, I, mats, F):
         self.alphabet = alphabet
-        self.I = tuple([Fraction(x) for x in I])
+        self.I = tuple([exact_entry(x) for x in I])
         self.dim = len(self.I)
         self.mats = {a: (m if isinstance(m, QMat) else QMat(m)) for a, m in mats.items()}
-        self.F = tuple([Fraction(x) for x in F])
+        self.F = tuple([exact_entry(x) for x in F])
         if len(self.F) != self.dim:
             raise ValueError("I/F dimension mismatch")
         for a in alphabet:
@@ -41,11 +40,11 @@ class LinRep:
 
     # -- evaluation -----------------------------------------------------------
 
-    def eval(self, word) -> Fraction:
+    def eval(self, word):
         v = self.I
         for a in word:
             v = self.mats[a].vecmat(v)
-        return sum(x * y for x, y in zip(v, self.F))
+        return exact_entry(sum(map(operator.mul, v, self.F)))
 
     def word_matrix(self, word) -> QMat:
         m = QMat.identity(self.dim)
@@ -67,13 +66,13 @@ class LinRep:
         mats = {}
         for a in self.alphabet:
             x, y = self.mats[a], other.mats[a]
-            rows = [list(r) + [Fraction(0)] * m for r in x.rows]
-            rows += [[Fraction(0)] * n + list(r) for r in y.rows]
+            rows = [r + (0,) * m for r in x.rows]
+            rows += [(0,) * n + r for r in y.rows]
             mats[a] = QMat(rows)
         return LinRep(self.alphabet, I, mats, F)
 
     def scale(self, c) -> "LinRep":
-        c = Fraction(c)
+        c = exact_entry(c)
         return LinRep(self.alphabet, tuple([c * x for x in self.I]), self.mats, self.F)
 
     def sub(self, other: "LinRep") -> "LinRep":
@@ -85,7 +84,7 @@ class LinRep:
         n, m = self.dim, other.dim
         f_eps = sum(x * y for x, y in zip(self.I, self.F))
         I = self.I + tuple([f_eps * x for x in other.I])
-        F = (Fraction(0),) * n + other.F
+        F = (0,) * n + other.F
         mats = {}
         for a in self.alphabet:
             x, y = self.mats[a], other.mats[a]
@@ -96,7 +95,7 @@ class LinRep:
             for i in range(n):
                 rows.append(list(x.rows[i]) + [xf[i] * other.I[j] for j in range(m)])
             for i in range(m):
-                rows.append([Fraction(0)] * n + list(y.rows[i]))
+                rows.append((0,) * n + y.rows[i])
             mats[a] = QMat(rows)
         return LinRep(self.alphabet, I, mats, F)
 
@@ -124,8 +123,7 @@ class LinRep:
             raise ValueError("star requires a proper series (value 0 on the empty word)")
         n = self.dim
         # state 0 is "between blocks"; states 1..n track the open block
-        I = (Fraction(1),) + (Fraction(0),) * n
-        F = (Fraction(1),) + (Fraction(0),) * n
+        I = F = (1,) + (0,) * n
         mats = {}
         for a in self.alphabet:
             x = self.mats[a]
@@ -142,7 +140,7 @@ class LinRep:
     # -- serialization ------------------------------------------------------------
 
     def to_json(self) -> dict:
-        def enc(x: Fraction):
+        def enc(x):
             return str(x.numerator) if x.denominator == 1 else "%d/%d" % (x.numerator, x.denominator)
         return {
             "alphabet": list(self.alphabet.letters),
@@ -194,11 +192,11 @@ class LinRep:
 def indicator(dfa) -> LinRep:
     """The 0/1 series of a regular language."""
     n = dfa.n
-    I = tuple([Fraction(int(q == dfa.initial)) for q in range(n)])
-    F = tuple([Fraction(int(q in dfa.accepting)) for q in range(n)])
+    I = tuple([int(q == dfa.initial) for q in range(n)])
+    F = tuple([int(q in dfa.accepting) for q in range(n)])
     mats = {}
     for a in dfa.alphabet:
-        rows = [[Fraction(int(dfa.delta[a][p] == q)) for q in range(n)]
+        rows = [[int(dfa.delta[a][p] == q) for q in range(n)]
                 for p in range(n)]
         mats[a] = QMat(rows)
     return LinRep(dfa.alphabet, I, mats, F)
@@ -216,26 +214,24 @@ def _forward_reduce(rep: LinRep):
     """Restrict to the row space spanned by { I mu(u) }.  Returns the
     reduced representation and the word-indexed basis.
 
-    One breadth-first pass: each image v mu(a) of a basis vector is either
-    inserted (its coordinates are then a new unit vector) or expressed in
-    the basis found so far, which is a prefix of the final basis."""
+    One breadth-first pass: each image v mu(a) of a basis vector is reduced
+    once, and either inserted (its coordinates are then a new unit vector)
+    or expressed in the basis found so far, which is a prefix of the final
+    basis."""
     basis = RowBasis(rep.dim)
-    start = tuple([exact_entry(x) for x in rep.I])
-    if not basis.insert(start):
+    if not basis.insert(rep.I):
         zero = LinRep(rep.alphabet, (), {a: QMat([]) for a in rep.alphabet}, ())
         return zero, SpanBasis([], [])
-    cols = {a: list(zip(*exact_rows(rep.mats[a]))) for a in rep.alphabet}
-    words, queue = [()], [start]
+    transposes = {a: rep.mats[a].transpose() for a in rep.alphabet}
+    words, queue = [()], [rep.I]
     images = {a: [] for a in rep.alphabet}
     for w, v in zip(words, queue):   # both grow while the loop runs
         for a in rep.alphabet:
-            v2 = tuple([exact_entry(sum(map(operator.mul, v, c))) for c in cols[a]])
-            c = basis.coords(v2)
+            c = basis.coords(transposes[a].matvec(v), insert=True)
             if c is None:
-                basis.insert(v2)
                 c = (0,) * len(queue) + (1,)
                 words.append(w + (a,))
-                queue.append(v2)
+                queue.append(basis.vectors[-1])
             images[a].append(c)
     m = len(basis)
     mats = {a: QMat([c + (0,) * (m - len(c)) for c in rows]) for a, rows in images.items()}
@@ -319,8 +315,8 @@ def spectrum_probe(rep: LinRep, mode: str, length_bound: int = 4,
     (polynomial-growth side).  Exhaustive over all words up to the length
     bound when that is feasible, otherwise a seeded random sample.
 
-    The letter matrices are scaled once to integer rows A_a = d mu(a), d
-    the lcm of their denominators, so mu(w) = A_w / d^|w|.  The words are
+    The letter matrices are scaled once to integer matrices A_a = d mu(a),
+    d the lcm of their denominators, so mu(w) = A_w / d^|w|.  The words are
     checked in sorted order with a stack of the previous word's prefix
     products: a word shares the stack up to its common prefix with the
     previous one, which in sorted order is its longest common prefix with
@@ -343,18 +339,17 @@ def spectrum_probe(rep: LinRep, mode: str, length_bound: int = 4,
             k = rng.randint(1, length_bound)
             words.append(tuple([rng.choice(letters) for _ in range(k)]))
     d = common_denominator(x for a in letters for r in rep.mats[a].rows for x in r)
-    scaled = {a: [integer_row(r, d) for r in rep.mats[a].rows] for a in letters}
+    scaled = {a: rep.mats[a].scale(d) for a in letters}
     words = sorted(set(words))
-    prefixes = [rows_identity(rep.dim)]   # A_u for the prefixes u of the previous word
+    prefixes = [QMat.identity(rep.dim)]   # A_u for the prefixes u of the previous word
     prev = ()
     violations = []
     for w in words:
         k = next((i for i, (x, y) in enumerate(zip(prev, w)) if x != y), min(len(prev), len(w)))
         del prefixes[k + 1:]
         for a in w[k:]:
-            prefixes.append(rows_mul(prefixes[-1], scaled[a]))
-        scale = d ** len(w)
-        p = char_poly(QMat([[Fraction(x, scale) for x in r] for r in prefixes[-1]]))
+            prefixes.append(prefixes[-1] * scaled[a])
+        p = char_poly(prefixes[-1].scale(Fraction(1, d ** len(w))))
         if not classify_roots(p, mode):
             violations.append((w, repr(p)))
         prev = w

@@ -8,6 +8,7 @@ bugs.
 """
 
 import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -89,6 +90,30 @@ def gauss_rank(rows) -> int:
     return rank
 
 
+def is_exact_entry(x) -> bool:
+    """The number normal form of matrices, vectors and coordinates: an int,
+    or a Fraction that is not integral (never a float)."""
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
+def rows_mul(a, b):
+    """Product of matrices given as tuples of rows, by map-multiply."""
+    cols = list(zip(*b))
+    return tuple(tuple(sum(map(operator.mul, r, c)) for c in cols) for r in a)
+
+
+def rows_power(a, e: int):
+    """a^e by repeated squaring, skipping the square after the last bit."""
+    result = tuple(tuple(int(i == j) for j in range(len(a))) for i in range(len(a)))
+    while e:
+        if e & 1:
+            result = rows_mul(result, a)
+        e >>= 1
+        if e:
+            a = rows_mul(a, a)
+    return result
+
+
 def char_poly(m: QMat) -> UPoly:
     """Characteristic polynomial by the Faddeev-LeVerrier recurrence over
     Fraction: M_1 = m, c_k = -tr(M_k) / k, M_{k+1} = m (M_k + c_k)."""
@@ -97,7 +122,7 @@ def char_poly(m: QMat) -> UPoly:
     mk = QMat.identity(n)
     for k in range(1, n + 1):
         mk = m * mk
-        ck = -mk.trace() / k
+        ck = Fraction(-mk.trace(), k)
         coeffs.append(ck)
         if k < n:
             mk = mk + QMat.identity(n).scale(ck)

@@ -1,6 +1,8 @@
 """Exact rational linear algebra and polynomial utilities."""
 
+import functools
 import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -8,10 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gauss_rank
+from conftest import gauss_rank, is_exact_entry, rows_mul, rows_power
 from zpoly.exact import (MPoly, QMat, RowBasis, UPoly, char_poly,
                          classify_roots, cyclotomic, euler_phi,
                          interpolate_grid, poly_cauchy, power_sum)
+from zpoly.lang import Alphabet
+from zpoly.series import LinRep, reduce_minimize
+
+AB = Alphabet(["a", "b"])
 
 
 def test_qmat_algebra():
@@ -84,14 +90,14 @@ def test_row_basis_against_rank_oracle(family):
         assert basis.insert(v) == grows
         seen.append(v)
         assert len(basis) == gauss_rank(seen)
-    assert all(type(x) is Fraction for bv in basis.vectors for x in bv)
+    assert all(is_exact_entry(x) for bv in basis.vectors for x in bv)
     for v in probes + vectors:
         coords = basis.coords(v)
         inside = gauss_rank(list(basis.vectors) + [v]) == len(basis)
         assert (coords is not None) == inside == basis.contains(v)
         if coords is not None:
             assert len(coords) == len(basis)
-            assert all(type(c) is Fraction for c in coords)
+            assert all(is_exact_entry(c) for c in coords)
             assert [sum(c * bv[j] for c, bv in zip(coords, basis.vectors))
                     for j in range(dim)] == list(v)
 
@@ -215,3 +221,65 @@ def test_upoly_ring_laws(a, b):
     assert (p + q) - q == p
     for x in (-2, 0, 3):
         assert (p * q).eval(x) == p.eval(x) * q.eval(x)
+
+
+# ---------------------------------------------------------------------------
+# the number normal form: ints where integral, Fractions otherwise
+
+
+@st.composite
+def square_matrices(draw, n=None):
+    n = n or draw(st.integers(1, 4))
+    entry = _entries(draw(st.booleans()))
+    return QMat(draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                              min_size=n, max_size=n)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(square_matrices(n), square_matrices(n))),
+       st.integers(0, 9))
+def test_product_and_power_match_integer_rows_oracle(pair, e):
+    a, b = pair
+    assert (a * b).rows == rows_mul(a.rows, b.rows)
+    assert a.power(e).rows == rows_power(a.rows, e)
+    assert a.power(e) == functools.reduce(operator.mul, [a] * e, QMat.identity(a.nrows))
+    for m in (a * b, a.power(e), a + b, a.scale(Fraction(3, 2)), a.transpose()):
+        assert all(is_exact_entry(x) for r in m.rows for x in r)
+
+
+@st.composite
+def linreps(draw):
+    """A linear representation over {a, b} of dimension 1-3, its entries all
+    ints or all Fractions (some of them integral, such as 4/2)."""
+    dim = draw(st.integers(1, 3))
+    entry = _entries(draw(st.booleans()))
+    vec = st.lists(entry, min_size=dim, max_size=dim)
+    mats = {a: draw(st.lists(vec, min_size=dim, max_size=dim)) for a in AB}
+    return LinRep(AB, draw(vec), mats, draw(vec))
+
+
+def assert_normal_form(rep):
+    numbers = [*rep.I, *rep.F, *(x for a in AB for r in rep.mats[a].rows for x in r)]
+    assert all(is_exact_entry(x) for x in numbers)
+
+
+@settings(max_examples=80, deadline=None)
+@given(linreps(), linreps(), st.sampled_from([-2, Fraction(1, 2), Fraction(4, 2)]))
+def test_series_operations_keep_the_normal_form(f, g, c):
+    epsilon = LinRep(AB, (f.eval(()),), {a: [[0]] for a in AB}, (1,))
+    reps = [f, f.add(g), f.scale(c), f.sub(g), f.cauchy(g), f.hadamard(g),
+            f.sub(epsilon).star(), LinRep.from_json(f.to_json())]
+    for rep in reps:
+        assert_normal_form(rep)
+        minimal, rows, cols = reduce_minimize(rep)
+        assert_normal_form(minimal)
+        assert all(is_exact_entry(x) for v in rows.vectors + cols.vectors for x in v)
+    basis = RowBasis(f.dim)
+    words = [(), ("a",), ("b",), ("a", "b"), ("b", "b")]
+    probes = [f.word_matrix(w).vecmat(f.I) for w in words]
+    for v in probes:
+        basis.insert(v)
+    assert all(is_exact_entry(x) for v in basis.vectors for x in v)
+    for v in probes + [tuple(x + y for x, y in zip(probes[0], probes[-1]))]:
+        coords = basis.coords(v)
+        assert coords is not None and all(is_exact_entry(x) for x in coords)

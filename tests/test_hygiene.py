@@ -1,0 +1,92 @@
+"""Dead-code checks over src/zpoly, with the standard library's `ast` only.
+
+Every name a module imports is used in that module, and every module-level
+function and class, and every method, defined in src/zpoly is named
+somewhere in src/, tests/ or bench/ (dunder methods are called by the
+language and are exempt; `__init__.py` re-exports through `__all__`).
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "zpoly"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def referenced_names(tree):
+    """Identifiers a tree refers to: names, attributes, imported names, and
+    dotted words in string constants (bench/tracer.py wraps functions by
+    their names given as strings)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.update(node.value.split("."))
+    return names
+
+
+def imported_names(tree):
+    """(name bound by an import, line) for every import outside __future__."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def used_names(tree):
+    """Names a module uses: loaded names, and the strings of `__all__`."""
+    used = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return used
+
+
+def definitions(tree):
+    """(qualified name, name) of module-level functions and classes and of
+    the methods of module-level classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield "%s.%s" % (node.name, item.name), item.name
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    tree = parse(path)
+    used = used_names(tree)
+    unused = ["%s (line %d)" % (name, line) for name, line in imported_names(tree)
+              if name not in used]
+    assert not unused, "unused imports in %s: %s" % (path.name, ", ".join(unused))
+
+
+def test_every_definition_is_named_somewhere():
+    named = set()
+    for directory in ("src", "tests", "bench"):
+        for path in (ROOT / directory).rglob("*.py"):
+            named |= referenced_names(parse(path))
+    dead = ["%s.%s" % (path.stem, qualified)
+            for path in MODULES
+            for qualified, name in definitions(parse(path))
+            if name not in named and not (name.startswith("__") and name.endswith("__"))]
+    assert not dead, "defined in src/zpoly but named nowhere: %s" % ", ".join(dead)

@@ -85,14 +85,21 @@ def test_regex_parser_agrees_with_oracle(text, alphabet):
 @settings(max_examples=500, deadline=None)
 @example("alphabet = a b\nind(a|) + 1\n")
 @example("alphabet = a\nind()\n")
+@example("alphabet = a\n2² + 1\n")
+@example("alphabet = a\n٣ * ind(a)\n")
 @given(mutated(EXPRESSIONS))
 def test_expression_parser_agrees_with_oracle(text):
-    """Same AST or same rejection, except that an `ind(...)` whose text the
-    regex parser rejects is now rejected when the expression is parsed."""
+    """Same AST or same rejection, with two allowed differences: an
+    `ind(...)` whose text the regex parser rejects is now rejected when the
+    expression is parsed, and a non-ASCII digit, which the oracle reads into
+    an integer literal through `str.isdigit` (or fails on inside `int`), is
+    now an `ExprError`."""
     want = outcome(oracle_parse_expression, text)
     got = outcome(parse_expression, text)
     if isinstance(want, tuple) and any(
             outcome(oracle_parse_regex, t, want[0]) is RegexError for t in ind_texts(want[1])):
+        assert got is ExprError
+    elif got != want and any(c.isdigit() and not c.isascii() for c in text):
         assert got is ExprError
     else:
         assert got == want
@@ -109,6 +116,21 @@ def test_malformed_regex_in_ind_is_an_expression_error():
         parse_expression("alphabet = a b\nind(a|) + 1\n")
     alphabet, ast = parse_expression("alphabet = a b\nind( (a|b)* ) . 2\n")
     assert ast == ("cauchy", ("ind", " (a|b)* "), ("int", 2))
+
+
+@pytest.mark.parametrize("body, position", [("²", 0), ("2²", 1), ("٣ * ind(a)", 0),
+                                            ("1 + ٣", 4)])
+def test_integer_literals_take_ascii_digits_only(body, position):
+    with pytest.raises(ExprError, match="position %d" % position):
+        parse_expression("alphabet = a\n" + body)
+
+
+def test_multi_character_letters_are_syntax_errors():
+    with pytest.raises(ExprError, match="single characters"):
+        parse_expression("alphabet = ab cd\nind(ab)\n")
+    with pytest.raises(MsoError, match="single characters"):
+        parse_count("alphabet = ab cd\ncount[x] ab(x)\n")
+    assert parse_expression("alphabet = ab\nind(ab)\n")[0] == AB
 
 
 def test_duplicate_alphabet_letters_are_syntax_errors():
