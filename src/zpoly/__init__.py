@@ -7,7 +7,7 @@ build canonical residual transducers, and decide star-freeness.
 """
 
 from .lang import (Alphabet, Dfa, FiniteMonoid, MonoidMorphism, compile_regex,
-                   monoid_aperiodic, residual_language, transition_monoid)
+                   residual_language, transition_monoid)
 from .series import LinRep, equivalent, indicator, minimize, reduce_minimize, spectrum_probe
 from .cplc import Cplc, PumpingPattern, indicator_cplc, product_monoid
 from .mso import count_to_cplc, count_to_linrep, count_sets_to_linrep, parse_count
@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Alphabet", "Dfa", "FiniteMonoid", "MonoidMorphism", "compile_regex",
-    "monoid_aperiodic", "residual_language", "transition_monoid",
+    "residual_language", "transition_monoid",
     "LinRep", "equivalent", "indicator", "minimize", "reduce_minimize",
     "spectrum_probe",
     "Cplc", "PumpingPattern", "indicator_cplc", "product_monoid",

@@ -9,9 +9,16 @@ the minimal representation (integer arithmetic where it is integral), and
 its Newton forward differences give the polynomial and its total degree.
 The syntactic level is an upper bound on the degree, so a witness of
 degree equal to the level settles the question; otherwise the verdict
-carries a budget_exhausted flag.  Certified mode enumerates
-pump words and connectors up to a completeness bound derived from the
-factorization-forest depth; it is feasible only for tiny monoids.
+carries a budget_exhausted flag.
+
+For each number of pumps, from the level down, the search reads one lazy
+stream of patterns: the grid of short pump words and connectors, then the
+patterns harvested from factorization forests of sample words, so a forest
+is built only when the search reaches its word.  Pumps are raised to the
+idempotent power omega of the product monoid (computed once per monoid),
+and a pattern seen before is skipped.  Certified mode reads instead the
+grid of pump words and connectors up to a completeness bound derived from
+the factorization-forest depth; it is feasible only for tiny monoids.
 """
 
 from __future__ import annotations
@@ -25,7 +32,6 @@ from dataclasses import dataclass
 from . import forests, series
 from .cplc import Cplc, PumpingPattern, product_monoid
 from .exact import MPoly, newton_coefficients, newton_degree, newton_to_mpoly, newton_values
-from .lang import monoid_aperiodic
 
 
 class BudgetExhausted(RuntimeError):
@@ -157,19 +163,17 @@ class _Family:
         return newton_to_mpoly(coeffs, pattern.size, k, x0)
 
 
-def pattern_polynomial(f: Cplc, pattern: PumpingPattern, rep=None,
-                       scale: int = 1) -> MPoly:
+def pattern_polynomial(f: Cplc, pattern: PumpingPattern, rep=None) -> MPoly:
     """The exact polynomial giving f on the pumping family for all large
     exponents.
 
     Fits Newton forward differences on the grid {x0 .. x0+k}^l with
     x0 = 2(k+1) (k the level of f) and verifies on a disjoint shifted grid,
-    doubling x0 once on failure.  `scale` multiplies the exponents (used by
-    the ultimate-polynomial check).
+    doubling x0 once on failure.
     """
     if rep is None:
         rep = series.minimize(f.to_linrep())
-    return _Family(rep).polynomial(pattern, f.level, scale)
+    return _Family(rep).polynomial(pattern, f.level)
 
 
 def normalize_pattern(f: Cplc, pattern: PumpingPattern,
@@ -179,7 +183,7 @@ def normalize_pattern(f: Cplc, pattern: PumpingPattern,
     if morphism is None:
         _, morphism = product_monoid(f)
     m = morphism.monoid
-    _, omega = monoid_aperiodic(m)
+    _, omega = m.aperiodicity
     pumps = []
     for w in pattern.pumps:
         if not w:
@@ -211,26 +215,26 @@ def _sample_words(alphabet, budget: SearchBudget):
         for _ in range(budget.max_samples):
             k = rng.randint(1, budget.sample_len)
             words.append(tuple(rng.choice(letters) for _ in range(k)))
-    for a in letters:
-        words.append((a,) * 8)
-    for a in letters:
-        for b in letters:
-            if a != b:
-                words.append((a, b) * 4)
+    words += [(a,) * 8 for a in letters]
+    words += [(a, b) * 4 for a in letters for b in letters if a != b]
     return sorted(set(words))
+
+
+def _grid(pumps, connectors, size, cap=None):
+    """The patterns alpha_0 w_1 ... w_size alpha_size with pump words w_i
+    and connectors alpha_i, pumps varying slowest; at most `cap` of them."""
+    return itertools.islice(
+        (PumpingPattern(alpha_combo, pump_combo)
+         for pump_combo in itertools.product(pumps, repeat=size)
+         for alpha_combo in itertools.product(connectors, repeat=size + 1)),
+        cap)
 
 
 def _exhaustive_patterns(alphabet, size, budget: SearchBudget):
     letters = list(alphabet.letters)
-    pumps = _words_up_to(letters, budget.pump_len, include_empty=False)
-    connectors = _words_up_to(letters, budget.connector_len, include_empty=True)
-    count = 0
-    for pump_combo in itertools.product(pumps, repeat=size):
-        for alpha_combo in itertools.product(connectors, repeat=size + 1):
-            yield PumpingPattern(alpha_combo, pump_combo)
-            count += 1
-            if count >= budget.max_patterns:
-                return
+    return _grid(_words_up_to(letters, budget.pump_len, include_empty=False),
+                 _words_up_to(letters, budget.connector_len, include_empty=True),
+                 size, budget.max_patterns)
 
 
 def _certified_patterns(f: Cplc, size, morphism, budget: SearchBudget):
@@ -242,8 +246,7 @@ def _certified_patterns(f: Cplc, size, morphism, budget: SearchBudget):
     2^(d-1) with idempotent image), and connectors are shortest preimages
     of all monoid elements."""
     m = morphism.monoid
-    k = f.level
-    d = 3 * m.size + math.ceil(math.log2(2 * k + 3)) + 1
+    d = 3 * m.size + math.ceil(math.log2(2 * f.level + 3)) + 1
     max_pump = 2 ** (d - 1)
     letters = list(f.alphabet.letters)
     n_words = 0
@@ -255,15 +258,9 @@ def _certified_patterns(f: Cplc, size, morphism, budget: SearchBudget):
                 "(cap %d)" % (budget.certified_cap, budget.certified_cap))
     pumps = [w for w in _words_up_to(letters, max_pump, include_empty=False)
              if m.is_idempotent(morphism.image(w))]
-    connectors = []
-    for x in range(m.size):
-        w = morphism.shortest_preimage(x)
-        if w is not None:
-            connectors.append(w)
-    connectors = sorted(set(connectors))
-    for pump_combo in itertools.product(pumps, repeat=size):
-        for alpha_combo in itertools.product(connectors, repeat=size + 1):
-            yield PumpingPattern(alpha_combo, pump_combo)
+    preimages = (morphism.shortest_preimage(x) for x in range(m.size))
+    connectors = sorted({w for w in preimages if w is not None})
+    return _grid(pumps, connectors, size)
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +275,7 @@ def growth_degree(f: Cplc, budget: SearchBudget | None = None,
     budget_exhausted False is definitive because the syntactic level bounds
     the degree from above.  `rep` (default: f minimized) represents f with
     columns mu(v) F spanning its space, so that f = 0 iff rep.I = 0.
+    Patterns are read lazily, as the module docstring describes.
     """
     if mode not in ("budgeted", "certified"):
         raise ValueError("unknown mode %r" % mode)
@@ -297,19 +295,16 @@ def growth_degree(f: Cplc, budget: SearchBudget | None = None,
     witness_poly = None
     tried = 0
     seen = set()
-    sample = None
+    sample = None if mode == "certified" else _sample_words(f.alphabet, budget)
     for size in range(k_max, 0, -1):
-        sources = []
         if mode == "certified":
-            sources.append(_certified_patterns(f, size, morphism, budget))
+            patterns = _certified_patterns(f, size, morphism, budget)
         else:
-            sources.append(_exhaustive_patterns(f.alphabet, size, budget))
-            if sample is None:
-                sample = _sample_words(f.alphabet, budget)
-            sources.append(iter(forests.extract_patterns(
-                f, sample, size, cap=budget.tuple_cap, seed=budget.seed,
-                morphism=morphism)))
-        for pattern in itertools.chain(*sources):
+            patterns = itertools.chain(
+                _exhaustive_patterns(f.alphabet, size, budget),
+                forests.extract_patterns(f, sample, size, cap=budget.tuple_cap,
+                                         seed=budget.seed, morphism=morphism))
+        for pattern in patterns:
             norm = normalize_pattern(f, pattern, morphism)
             if norm in seen:
                 continue

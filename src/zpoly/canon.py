@@ -43,8 +43,7 @@ class StateBudgetExceeded(RuntimeError):
 class ResidualTransducer:
     alphabet: object
     k: int
-    state_words: list            # representative word per state (shortlex BFS)
-    residuals: list              # Cplc residual per state
+    state_words: list            # word w per state (shortlex BFS); its residual is f.residual(w)
     delta: dict                  # (state, letter) -> state
     labels: dict                 # (state, letter) -> Cplc of level <= k-1
     outputs: list                # integer f(state word)
@@ -155,8 +154,7 @@ def residual_transducer(f: Cplc, k: int,
             delta[(q, a)] = target
             labels[(q, a)] = g.sub(residuals[target])
     outputs = [r.eval_at_epsilon() for r in residuals]
-    return ResidualTransducer(f.alphabet, k, state_words, residuals,
-                              delta, labels, outputs)
+    return ResidualTransducer(f.alphabet, k, state_words, delta, labels, outputs)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +172,7 @@ def counter_free(t: ResidualTransducer):
     """(True, None) when the transition monoid is aperiodic, else a counter."""
     dfa = t.underlying_dfa()
     monoid, morphism, elements = lang.transition_monoid(dfa)
-    aperiodic, _omega = lang.monoid_aperiodic(monoid)
+    aperiodic, _omega = monoid.aperiodicity
     if aperiodic:
         return True, None
     # find a concrete counter: a state on a nontrivial cycle of some word

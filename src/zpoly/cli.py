@@ -258,7 +258,9 @@ def load_morphism(path: str) -> lang.MonoidMorphism:
         monoid = lang.FiniteMonoid(mon["size"],
                                    tuple(tuple(r) for r in mon["table"]),
                                    mon["unit"])
-        letters = dict(data["letters"])
+        letters = data["letters"]
+        if not isinstance(letters, dict):
+            raise TypeError("letters must map letters to images")
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError("malformed morphism JSON: %s" % exc)
     n = monoid.size if type(monoid.size) is int else 0
@@ -270,7 +272,7 @@ def load_morphism(path: str) -> lang.MonoidMorphism:
     if not monoid.check_associative(letters.values()):
         raise InputError("multiplication table is not associative, or its unit "
                          "is not a unit")
-    alphabet = lang.Alphabet(sorted(letters))
+    alphabet = lang.text_alphabet(sorted(letters), InputError)
     return lang.MonoidMorphism(monoid, alphabet, letters)
 
 

@@ -145,7 +145,7 @@ class Cplc:
     def from_json(data: dict) -> "Cplc":
         """Inverse of to_json; raises ValueError on a malformed payload."""
         try:
-            alphabet = Alphabet(data["alphabet"])
+            alphabet = lang.text_alphabet(data["alphabet"], ValueError)
             raw = [(t["coef"], list(t["factors"])) for t in data["terms"]]
         except KeyError as exc:
             raise ValueError("Cauchy combination without %s" % exc) from None

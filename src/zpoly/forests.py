@@ -1,4 +1,4 @@
-"""Factorization forests, skeletons, and pumping-pattern extraction.
+"""Factorization forests, skeletons, and lazy pumping-pattern extraction.
 
 A factorization forest for a word w under a morphism h into a finite monoid
 M is an ordered tree whose leaves spell w and whose inner nodes either have
@@ -384,7 +384,10 @@ def to_dot(root: ForestNode) -> str:
 def extract_patterns(f: Cplc, sample_words, k: int, cap: int = 200,
                      seed: int = 0, morphism=None):
     """Pumping patterns of size k harvested from factorization forests of
-    the sample words under the product-monoid morphism of f.
+    the sample words under the product-monoid morphism of f, generated
+    lazily: the forest of a sample word is built only when the patterns of
+    the words before it have all been read, and a repeated pattern is
+    skipped.
 
     A pattern comes from k pairwise independent skeleton owners: none is the
     root, they neither observe each other nor touch the word boundary, and
@@ -394,7 +397,6 @@ def extract_patterns(f: Cplc, sample_words, k: int, cap: int = 200,
     if morphism is None:
         _, morphism = product_monoid(f)
     rng = random.Random(seed)
-    patterns = []
     seen = set()
     for word in sample_words:
         word = tuple(word)
@@ -403,14 +405,8 @@ def extract_patterns(f: Cplc, sample_words, k: int, cap: int = 200,
         root = simon_forest(morphism, word)
         analysis = skeleton_analysis(root)
         owners = sorted({analysis.skel_root[u] for u in analysis.leaves()})
-        candidates = []
-        for uid in owners:
-            n = analysis.nodes[uid]
-            if uid == root.uid:
-                continue
-            if n.start <= 1 or n.end >= len(word):
-                continue
-            candidates.append(uid)
+        candidates = [u for u in owners if u != root.uid
+                      and analysis.nodes[u].start > 1 and analysis.nodes[u].end < len(word)]
         tuples = []
         for combo in itertools.combinations(candidates, k):
             nodes = sorted((analysis.nodes[u] for u in combo), key=lambda n: n.start)
@@ -425,20 +421,12 @@ def extract_patterns(f: Cplc, sample_words, k: int, cap: int = 200,
         if len(tuples) > cap:
             tuples = rng.sample(tuples, cap)
         for nodes in tuples:
-            pumps = []
-            alphas = []
-            prev_end = 0
-            for n in nodes:
-                sk = skeleton(n)
-                sk_yield = tuple(analysis.nodes[u].letter
-                                 for u in sorted(sk, key=lambda u: analysis.nodes[u].start)
-                                 if analysis.nodes[u].is_leaf)
-                alphas.append(word[prev_end:n.start - 1])
-                pumps.append(sk_yield)
-                prev_end = n.end
-            alphas.append(word[prev_end:])
+            ends = [0] + [n.end for n in nodes]
+            alphas = [word[e:n.start - 1] for e, n in zip(ends, nodes)] + [word[ends[-1]:]]
+            pumps = [tuple(t.letter for t in sorted(map(analysis.node, skeleton(n)),
+                                                     key=lambda t: t.start) if t.is_leaf)
+                     for n in nodes]
             pat = PumpingPattern(tuple(alphas), tuple(pumps))
             if pat not in seen:
                 seen.add(pat)
-                patterns.append(pat)
-    return patterns
+                yield pat

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from math import lcm
 
 
@@ -550,12 +551,20 @@ def parse_alphabet_header(text: str, error):
     letters = decl[1].split()
     if len(letters) == 1 and len(letters[0]) > 1:
         letters = list(letters[0])
+    return text_alphabet(letters, error), "\n".join(lines[1:])
+
+
+def text_alphabet(letters, error) -> Alphabet:
+    """The alphabet of a source text or a JSON payload: a list of distinct
+    one-character strings, as regexes and words read one character per
+    letter.  Anything else raises `error`."""
+    if not (isinstance(letters, list)
+            and all(isinstance(a, str) and len(a) == 1 for a in letters)):
+        raise error("letters must be a list of single characters (regexes and "
+                    "words read one character per letter), got %r" % (letters,))
     if len(set(letters)) != len(letters):
-        raise error("duplicate letters in alphabet declaration")
-    if any(len(x) > 1 for x in letters):
-        raise error("letters must be single characters (regexes and words "
-                    "read one character per letter)")
-    return Alphabet(letters), "\n".join(lines[1:])
+        raise error("duplicate letters in the alphabet")
+    return Alphabet(letters)
 
 
 def compile_regex(text: str, alphabet: Alphabet) -> Dfa:
@@ -627,20 +636,13 @@ class FiniteMonoid:
         period = k - seen[cur]
         return index, period
 
-
-def monoid_aperiodic(m: FiniteMonoid):
-    """(aperiodic?, omega) where x^omega is idempotent for every x."""
-    periods = []
-    max_index = 1
-    for x in range(m.size):
-        idx, per = m.element_index_period(x)
-        periods.append(per)
-        max_index = max(max_index, idx)
-    base = lcm(*periods) if periods else 1
-    omega = base
-    while omega < max_index:
-        omega += base
-    return all(p == 1 for p in periods), omega
+    @cached_property
+    def aperiodicity(self):
+        """(aperiodic?, omega) where x^omega is idempotent for every x,
+        computed once per monoid."""
+        indices, periods = zip(*map(self.element_index_period, range(self.size)))
+        base = lcm(*periods)
+        return all(p == 1 for p in periods), base * -(-max(indices) // base)
 
 
 class MonoidMorphism:
@@ -794,9 +796,11 @@ def dfa_from_json(data: dict) -> Dfa:
     """Inverse of dfa_to_json; raises ValueError on a malformed payload,
     including state indices outside 0..states-1."""
     try:
-        alphabet = Alphabet(data["alphabet"])
+        alphabet = text_alphabet(data["alphabet"], ValueError)
         n, initial = data["states"], data["initial"]
         accepting = list(data["accepting"])
+        if not isinstance(data["delta"], dict):
+            raise ValueError("DFA delta must map letters to successor lists")
         delta = {a: list(data["delta"][a]) for a in alphabet}
     except KeyError as exc:
         raise ValueError("DFA without %s" % exc) from None

@@ -18,8 +18,9 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import QMat, RowBasis, char_poly, classify_roots, common_denominator, exact_entry
-from .lang import Alphabet
+from .exact import (QMat, RowBasis, UPoly, char_poly, classify_roots, common_denominator,
+                    exact_entry)
+from .lang import Alphabet, text_alphabet
 
 
 class LinRep:
@@ -169,8 +170,10 @@ class LinRep:
             return [dec(x) for x in xs]
 
         try:
-            alphabet = Alphabet(data["alphabet"])
+            alphabet = text_alphabet(data["alphabet"], ValueError)
             initial, final, matrices = data["initial"], data["final"], data["matrices"]
+            if not isinstance(matrices, dict):
+                raise ValueError("matrices must map letters to matrices")
             mats = {a: matrices[a] for a in alphabet}
         except KeyError as exc:
             raise ValueError("linear representation without %s" % exc) from None
@@ -316,7 +319,9 @@ def spectrum_probe(rep: LinRep, mode: str, length_bound: int = 4,
     bound when that is feasible, otherwise a seeded random sample.
 
     The letter matrices are scaled once to integer matrices A_a = d mu(a),
-    d the lcm of their denominators, so mu(w) = A_w / d^|w|.  The words are
+    d the lcm of their denominators, so mu(w) = A_w / d^|w|, and the
+    coefficient of X^(n-i) in det(X - mu(w)) is that of det(X - A_w)
+    divided by d^(|w| i).  The words are
     checked in sorted order with a stack of the previous word's prefix
     products: a word shares the stack up to its common prefix with the
     previous one, which in sorted order is its longest common prefix with
@@ -349,7 +354,8 @@ def spectrum_probe(rep: LinRep, mode: str, length_bound: int = 4,
         del prefixes[k + 1:]
         for a in w[k:]:
             prefixes.append(prefixes[-1] * scaled[a])
-        p = char_poly(prefixes[-1].scale(Fraction(1, d ** len(w))))
+        p = UPoly([Fraction(c, d ** (len(w) * (rep.dim - j)))
+                   for j, c in enumerate(char_poly(prefixes[-1]).coeffs)])
         if not classify_roots(p, mode):
             violations.append((w, repr(p)))
         prev = w

@@ -4,11 +4,12 @@ diagnostics."""
 import pytest
 
 from conftest import words_up_to
-from zpoly.cplc import PumpingPattern, constant_cplc, indicator_cplc, zero_cplc
-from zpoly.lang import Alphabet, compile_regex
+from zpoly import forests
+from zpoly.cplc import PumpingPattern, constant_cplc, indicator_cplc, product_monoid, zero_cplc
+from zpoly.lang import Alphabet, FiniteMonoid, compile_regex
 from zpoly.analysis import (BudgetExhausted, CertifiedInfeasible, SearchBudget,
-                            equiv_mod_k, growth_degree, normalize_pattern,
-                            pattern_polynomial, ultimate_poly_check)
+                            _exhaustive_patterns, equiv_mod_k, growth_degree,
+                            normalize_pattern, pattern_polynomial, ultimate_poly_check)
 
 AB = Alphabet(["a", "b"])
 A1 = Alphabet(["a"])
@@ -61,7 +62,6 @@ def test_growth_of_itimesj_needs_two_pumps(itimesj):
     assert v.witness.size == 2
     # no single-pump family reaches degree 2
     budget = SearchBudget()
-    from zpoly.analysis import _exhaustive_patterns
     from zpoly import series
     rep = series.minimize(itimesj.to_linrep())
     for p in _exhaustive_patterns(AB, 1, budget):
@@ -74,6 +74,47 @@ def test_growth_witness_realizes(product_counts):
     for point in [(4, 5), (7, 7)]:
         assert product_counts.eval(v.witness.realize(point)) == \
             v.witness_poly.eval(point)
+
+
+# ---------------------------------------------------------------------------
+# pattern sources
+
+
+@pytest.mark.parametrize("cap", [0, 1, 7])
+def test_max_patterns_caps_the_exhaustive_grid(cap):
+    assert len(list(_exhaustive_patterns(AB, 1, SearchBudget(max_patterns=cap)))) == cap
+
+
+def count_forests(monkeypatch):
+    """The sample words `forests.simon_forest` is called on from now on."""
+    calls = []
+    build = forests.simon_forest
+    monkeypatch.setattr(forests, "simon_forest",
+                        lambda mor, word: calls.append(word) or build(mor, word))
+    return calls
+
+
+def test_search_settled_by_the_grid_builds_no_forest(wa, monkeypatch):
+    """|w|_a reaches its level on the exhaustive grid, so the search never
+    reads the forest harvest."""
+    calls = count_forests(monkeypatch)
+    v = growth_degree(wa)
+    assert v.degree == 1 and not v.budget_exhausted
+    assert calls == []
+    # with an empty grid the witness comes from the harvest, word by word
+    v = growth_degree(wa, SearchBudget(max_patterns=0))
+    assert v.degree == 1 and not v.budget_exhausted
+    assert 0 < len(calls) < 10
+
+
+def test_omega_is_computed_once_per_monoid(product_counts, monkeypatch):
+    calls = []
+    period = FiniteMonoid.element_index_period
+    monkeypatch.setattr(FiniteMonoid, "element_index_period",
+                        lambda self, x: calls.append(x) or period(self, x))
+    v = growth_degree(product_counts)
+    assert v.patterns_tried > 10
+    assert sorted(calls) == list(range(product_monoid(product_counts)[0].size))
 
 
 # ---------------------------------------------------------------------------

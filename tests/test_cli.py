@@ -319,6 +319,36 @@ def test_non_json_morphism_exits_3(files, capsys):
     assert code == 3 and "bad JSON" in err
 
 
+# letters must be distinct one-character strings, and delta, matrices and
+# letters JSON objects; each payload below loaded (or half loaded) before
+INT_LETTER_CPLC = {"alphabet": [0], "terms": [{"coef": 1, "factors": [
+    {"alphabet": [0], "states": 1, "initial": 0, "accepting": [0], "delta": [[0]]}]}]}
+LIST_DELTA_CPLC = {"alphabet": ["a"], "terms": [{"coef": 1, "factors": [
+    {"alphabet": ["a"], "states": 1, "initial": 0, "accepting": [0], "delta": [[0]]}]}]}
+MULTI_LETTER_LINREP = {"alphabet": ["ab"], "initial": ["1"], "final": ["1"],
+                       "matrices": {"ab": [["1"]]}}
+LIST_MATRICES_LINREP = {"alphabet": [0], "initial": ["1"], "final": ["1"],
+                        "matrices": [[["1"]]]}
+LIST_LETTERS_MORPHISM = {"monoid": {"size": 1, "table": [[0]], "unit": 0},
+                         "letters": [[0, 0], ["a", 0]]}
+MULTI_LETTER_MORPHISM = {"monoid": {"size": 1, "table": [[0]], "unit": 0},
+                         "letters": {"ab": 0}}
+
+
+@pytest.mark.parametrize("payload, argv", [
+    (INT_LETTER_CPLC, ["compile", "{f}"]),
+    (LIST_DELTA_CPLC, ["compile", "{f}"]),
+    (MULTI_LETTER_LINREP, ["eval", "{f}"]),
+    (LIST_MATRICES_LINREP, ["eval", "{f}"]),
+    (LIST_LETTERS_MORPHISM, ["forest", "{f}", "a"]),
+    (MULTI_LETTER_MORPHISM, ["forest", "{f}", "a"]),
+])
+def test_malformed_json_letters_exit_3(files, capsys, payload, argv):
+    path = files("letters.json", json.dumps(payload))
+    code, out, err = run(capsys, *(a.replace("{f}", path) for a in argv))
+    assert code == 3 and out == "" and "input error" in err
+
+
 def test_pattern_verification_error_is_undecided(files, capsys, monkeypatch):
     from zpoly import analysis
 
@@ -460,8 +490,10 @@ def test_mutated_inputs_exit_0_or_3(source, argv):
 # mutated JSON payloads: linear representations, Cauchy combinations, morphisms
 
 FUNCTION_JSON = [LINREP, *(cplc.expression_to_cplc(*cplc.parse_expression(t)).to_json()
-                           for t in (COUNT_A_ZEXPR, SIGNED_ZEXPR))]
-MORPHISM_SEEDS = [json.loads(MORPHISM_JSON), json.loads(ZERO_X_JSON)]
+                           for t in (COUNT_A_ZEXPR, SIGNED_ZEXPR)),
+                 INT_LETTER_CPLC, LIST_DELTA_CPLC, MULTI_LETTER_LINREP, LIST_MATRICES_LINREP]
+MORPHISM_SEEDS = [json.loads(MORPHISM_JSON), json.loads(ZERO_X_JSON),
+                  LIST_LETTERS_MORPHISM, MULTI_LETTER_MORPHISM]
 JSON_VALUES = [0, 1, -1, 2, 3, 1.5, "1", "-2", "1/2", "1/0", "x", "a", "ab", "", None, True,
                [], {}, [0], [[1]], ["a", "a"], ["a", "b", "c"], {"a": 0}]
 
@@ -501,13 +533,14 @@ def mutated_json(draw, seeds):
 @given(st.sampled_from([["compile", "{f}"], ["compile", "{f}", "--target", "linrep"],
                         ["minimize", "{f}"], ["eval", "{f}"], ["eval", "{f}", "abba"],
                         ["equiv", "{f}", "{f}"], ["spectrum", "{f}"], ["growth", "{f}"],
+                        ["rt", "{f}"], ["starfree", "{f}"], ["pump", "{f}"],
                         ["forest", "{f}", "abaab"]]).flatmap(
     lambda argv: st.tuples(mutated_json(MORPHISM_SEEDS if argv[0] == "forest" else FUNCTION_JSON),
                            st.just(argv))))
 def test_mutated_json_never_escapes_main(source):
-    text, argv = source
     """No exception escapes `main`, and a payload that the loader rejects
     exits 3."""
+    text, argv = source
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "input.json")
         with open(path, "w", encoding="utf-8") as fh:

@@ -164,7 +164,7 @@ def test_to_dot_mentions_all_leaves():
 
 def test_extract_patterns_shape_and_consistency(itimesj):
     words = [tuple("ab" * 8)]
-    patterns = extract_patterns(itimesj, words, 2, cap=50, seed=0)
+    patterns = list(extract_patterns(itimesj, words, 2, cap=50, seed=0))
     assert patterns
     for p in patterns:
         assert p.size == 2
@@ -179,7 +179,7 @@ def test_extract_patterns_shape_and_consistency(itimesj):
 def test_extracted_patterns_are_ultimately_polynomial(itimesj):
     from zpoly.analysis import normalize_pattern, pattern_polynomial
     words = [tuple("ab" * 8)]
-    patterns = extract_patterns(itimesj, words, 2, cap=10, seed=0)
+    patterns = list(extract_patterns(itimesj, words, 2, cap=10, seed=0))
     assert patterns
     for p in patterns[:5]:
         norm = normalize_pattern(itimesj, p)

@@ -10,7 +10,7 @@ from conftest import regex_matches, words_up_to
 from zpoly.lang import (Alphabet, Dfa, FiniteMonoid, MonoidMorphism,
                         RegexError, compile_regex, complement, concat,
                         dfa_from_json, dfa_to_json, intersect,
-                        monoid_aperiodic, monoid_from_generators, parse_regex,
+                        monoid_from_generators, parse_regex,
                         residual_language, star,
                         transition_monoid, union)
 
@@ -117,11 +117,11 @@ def test_transition_monoid_aperiodicity():
     aperiodic_dfa = compile_regex("a(a|b)*", AB)
     m, mor, _ = transition_monoid(aperiodic_dfa)
     assert m.check_associative(mor.letter_images.values())
-    ok, _omega = monoid_aperiodic(m)
+    ok, _omega = m.aperiodicity
     assert ok
     periodic_dfa = compile_regex("(aa)*", Alphabet(["a"]))
     m2, _, _ = transition_monoid(periodic_dfa)
-    ok2, _ = monoid_aperiodic(m2)
+    ok2, _ = m2.aperiodicity
     assert not ok2
 
 
@@ -132,7 +132,7 @@ def test_monoid_element_index_period():
     idx, per = m.element_index_period(1)
     assert per == 3
     assert m.power(1, 5) == 2
-    ok, omega = monoid_aperiodic(m)
+    ok, omega = m.aperiodicity
     assert not ok
     assert m.is_idempotent(0) and not m.is_idempotent(1)
 

@@ -67,8 +67,7 @@ def oracle_residual_transducer(f, k, budget=None, max_states=64):
             delta[(q, a)] = target
             labels[(q, a)] = g.sub(residuals[target])
     outputs = [r.eval_at_epsilon() for r in residuals]
-    return ResidualTransducer(f.alphabet, k, state_words, residuals,
-                              delta, labels, outputs)
+    return ResidualTransducer(f.alphabet, k, state_words, delta, labels, outputs)
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +80,7 @@ def outcome(build, *args, **kwargs):
         t = build(*args, **kwargs)
     except (UncertainConstruction, StateBudgetExceeded) as exc:
         return ("raised", type(exc).__name__, str(exc))
-    return ("machine", t.state_words, t.delta, t.outputs, t.residuals, t.to_json())
+    return ("machine", t.state_words, t.delta, t.outputs, t.to_json())
 
 
 def star_free_outcome(f):

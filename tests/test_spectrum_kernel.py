@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from conftest import char_poly as oracle_char_poly
 from conftest import twelve_term_function
-from zpoly.exact import QMat, char_poly, classify_roots
+from zpoly.exact import QMat, char_poly, classify_roots, common_denominator
 from zpoly.lang import Alphabet
 from zpoly.series import LinRep, SpectrumReport, minimize, spectrum_probe
 
@@ -157,3 +157,46 @@ def test_rational_and_exponential_reports_match_oracle():
         report = spectrum_probe(rep, mode)
         assert not report.ok and report.violations
     assert_reports_match(rep)
+
+
+def scaled_back_report(rep, mode, words):
+    """The report as the probe computed it when every integer prefix
+    product A_w was scaled into Fractions by 1/d^|w| before `char_poly`."""
+    letters = list(rep.alphabet.letters)
+    d = common_denominator(x for a in letters for r in rep.mats[a].rows for x in r)
+    violations = []
+    for w in words:
+        a_w = QMat.identity(rep.dim)
+        for a in w:
+            a_w = a_w * rep.mats[a].scale(d)
+        p = char_poly(a_w.scale(Fraction(1, d ** len(w))))
+        if not classify_roots(p, mode):
+            violations.append((w, repr(p)))
+    return SpectrumReport(not violations, mode, len(words), violations)
+
+
+@st.composite
+def conjugated_reps(draw):
+    """P mu P^-1 for small integer letter matrices mu and a rational unit
+    upper triangular P: entries with denominators, integral spectra."""
+    n = draw(st.integers(1, 4))
+    ints = st.integers(-2, 2)
+    nil = QMat([[Fraction(draw(ints), draw(st.integers(1, 4))) if j > i else 0
+                 for j in range(n)] for i in range(n)])
+    p = QMat.identity(n) + nil
+    p_inv = QMat.zero(n, n)
+    for k in range(n):
+        p_inv = p_inv + nil.scale(-1).power(k)
+    mats = {a: p * QMat([[draw(ints) for _ in range(n)] for _ in range(n)]) * p_inv
+            for a in ("a", "b")}
+    return LinRep(Alphabet(["a", "b"]), [1] * n, mats, [1] * n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(conjugated_reps(), st.sampled_from(MODES))
+def test_reports_match_scaled_back_char_poly(rep, mode):
+    """Dividing the coefficients of det(X - A_w) by powers of d^|w| gives
+    the reports of scaling A_w back into Fractions first."""
+    for kwargs in ({"length_bound": 3}, {"length_bound": 6, "sample_count": 20}):
+        words = oracle_words(rep, **kwargs)
+        assert spectrum_probe(rep, mode, **kwargs) == scaled_back_report(rep, mode, words)
