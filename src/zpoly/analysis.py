@@ -16,13 +16,29 @@ stream of patterns: the grid of short pump words and connectors, then the
 patterns harvested from factorization forests of sample words, so a forest
 is built only when the search reaches its word.  Pumps are raised to the
 idempotent power omega of the product monoid (computed once per monoid),
-and a pattern seen before is skipped.  Certified mode reads instead the
-grid of pump words and connectors up to a completeness bound derived from
-the factorization-forest depth; it is feasible only for tiny monoids.
+and a pattern seen before is skipped.  `SearchBudget.max_patterns` caps
+the patterns a budgeted search reads, over all pump counts together.
+Certified mode reads instead the grid of pump words and connectors up to a
+completeness bound derived from the factorization-forest depth; it is
+feasible only for tiny monoids.
+
+An `Analysis` of f holds what every search about f reads: its minimal
+representation (I, mu, F), its product monoid (built on first use), one
+memoized pattern stream per pump count and one table of matrix powers of
+mu.  It lives for one question, such as `canon.residual_transducer(f, k)`,
+whose merges each search a difference h of two residuals of f, at the row
+vector of h in f's representation (`Analysis.at`).  Those searches read
+f's monoid and patterns instead of h's: every factor DFA of h is a factor
+of f or a residual of one, so h's product monoid is a quotient of f's
+(the argument is in the `canon` docstring).  An f-idempotent pump is
+therefore h-idempotent, and a forest under f's morphism is also a forest
+under h's.
 """
 
 from __future__ import annotations
 
+import copy
+import functools
 import itertools
 import math
 import operator
@@ -79,9 +95,10 @@ class _Family:
     Python ints wherever the representation's entries are integral.
 
     `powers` maps (word, exponent) to the pair (mu(word)^exponent, its
-    transpose); a row vector steps as transpose.matvec.  One object serves
-    every pattern of a growth_degree call, so pump words shared between
-    patterns are powered once.
+    transpose); a row vector steps as transpose.matvec.  The table serves
+    every pattern of a growth_degree call and, through `Analysis.at`, every
+    row vector of the representation, so pump words shared between patterns
+    and searches are powered once.
     """
 
     def __init__(self, rep: series.LinRep):
@@ -264,6 +281,76 @@ def _certified_patterns(f: Cplc, size, morphism, budget: SearchBudget):
 
 
 # ---------------------------------------------------------------------------
+# the analysis of one question
+
+
+def _distinct_normalized(f: Cplc, patterns, morphism):
+    seen = set()
+    for pattern in patterns:
+        norm = normalize_pattern(f, pattern, morphism)
+        if norm not in seen:
+            seen.add(norm)
+            yield norm
+
+
+class _Patterns:
+    """The normalized patterns of f, one memoized stream per pump count.
+
+    A stream reads the grid, then the forest harvest, and keeps every
+    distinct pattern it has produced, so a later search replays them before
+    it reads further.  The product monoid of f is built on first use."""
+
+    def __init__(self, f: Cplc, budget: SearchBudget):
+        self.f = f
+        self.budget = budget
+        self.streams = {}    # pump count -> (patterns read so far, their source)
+
+    @functools.cached_property
+    def morphism(self):
+        return product_monoid(self.f, cap=self.budget.monoid_cap)[1]
+
+    def stream(self, size: int):
+        if size not in self.streams:
+            f, budget = self.f, self.budget
+            source = itertools.chain(
+                _exhaustive_patterns(f.alphabet, size, budget),
+                forests.extract_patterns(f, _sample_words(f.alphabet, budget), size,
+                                         cap=budget.tuple_cap, seed=budget.seed,
+                                         morphism=self.morphism))
+            self.streams[size] = ([], _distinct_normalized(f, source, self.morphism))
+        read, source = self.streams[size]
+        for i in itertools.count():
+            if i == len(read):
+                pattern = next(source, None)
+                if pattern is None:
+                    return
+                read.append(pattern)
+            yield read[i]
+
+
+class Analysis:
+    """What the growth searches of one question read about f, as the module
+    docstring describes.  `rep` (default: f minimized) must have columns
+    mu(v) F that span its space.  The analysis keeps every pattern and
+    matrix power read so far: drop it with its question."""
+
+    def __init__(self, f: Cplc, budget: SearchBudget | None = None, rep=None):
+        self.budget = budget or SearchBudget()
+        self.rep = series.minimize(f.to_linrep()) if rep is None else rep
+        self.family = _Family(self.rep)
+        self.patterns = _Patterns(f, self.budget)
+
+    def at(self, I) -> "Analysis":
+        """The analysis of the series of row vector I in f's representation;
+        it shares f's monoid, patterns and matrix table."""
+        view = copy.copy(self)
+        view.rep = series.LinRep(self.rep.alphabet, I, self.rep.mats, self.rep.F)
+        view.family = copy.copy(self.family)    # shares its table of powers
+        view.family.rep = view.rep
+        return view
+
+
+# ---------------------------------------------------------------------------
 # growth degree
 
 
@@ -273,55 +360,49 @@ def growth_degree(f: Cplc, budget: SearchBudget | None = None,
 
     -1 means the zero function (decided exactly); a verdict of k with
     budget_exhausted False is definitive because the syntactic level bounds
-    the degree from above.  `rep` (default: f minimized) represents f with
-    columns mu(v) F spanning its space, so that f = 0 iff rep.I = 0.
-    Patterns are read lazily, as the module docstring describes.
+    the degree from above.  `rep` is an Analysis of f, whose budget then
+    rules, or a representation of f with columns mu(v) F spanning its
+    space, so that f = 0 iff rep.I = 0 (default: f minimized).  Patterns
+    are read lazily, as the module docstring describes.
     """
     if mode not in ("budgeted", "certified"):
         raise ValueError("unknown mode %r" % mode)
-    budget = budget or SearchBudget()
-    if rep is None:
-        rep = series.minimize(f.to_linrep())
-    if not any(rep.I):
+    an = rep if isinstance(rep, Analysis) else Analysis(f, budget, rep)
+    budget = an.budget
+    if not any(an.rep.I):
         return GrowthVerdict(-1, mode, False)
     k_max = f.level
     if k_max == 0:
         return GrowthVerdict(0, mode, False)
 
-    monoid, morphism = product_monoid(f, cap=budget.monoid_cap)
-    family = _Family(rep)
+    if mode == "certified":
+        morphism = an.patterns.morphism
+        patterns = itertools.chain.from_iterable(
+            _distinct_normalized(f, _certified_patterns(f, size, morphism, budget), morphism)
+            for size in range(k_max, 0, -1))
+    else:
+        patterns = itertools.islice(
+            itertools.chain.from_iterable(an.patterns.stream(size)
+                                          for size in range(k_max, 0, -1)),
+            budget.max_patterns)
     best_degree = 0
     witness = None
     witness_poly = None
     tried = 0
-    seen = set()
-    sample = None if mode == "certified" else _sample_words(f.alphabet, budget)
-    for size in range(k_max, 0, -1):
-        if mode == "certified":
-            patterns = _certified_patterns(f, size, morphism, budget)
-        else:
-            patterns = itertools.chain(
-                _exhaustive_patterns(f.alphabet, size, budget),
-                forests.extract_patterns(f, sample, size, cap=budget.tuple_cap,
-                                         seed=budget.seed, morphism=morphism))
-        for pattern in patterns:
-            norm = normalize_pattern(f, pattern, morphism)
-            if norm in seen:
-                continue
-            seen.add(norm)
-            tried += 1
-            x0, coeffs = family.fit(norm, k_max)
-            deg = newton_degree(coeffs, norm.size, k_max)
-            if deg > k_max:
-                raise AssertionError(
-                    "pattern degree %d exceeds the syntactic level %d" % (deg, k_max))
-            if deg > best_degree:
-                best_degree = deg
-                witness = norm
-                witness_poly = newton_to_mpoly(coeffs, norm.size, k_max, x0)
-            if best_degree == k_max:
-                return GrowthVerdict(best_degree, mode, False, witness,
-                                     witness_poly, tried)
+    for norm in patterns:
+        tried += 1
+        x0, coeffs = an.family.fit(norm, k_max)
+        deg = newton_degree(coeffs, norm.size, k_max)
+        if deg > k_max:
+            raise AssertionError(
+                "pattern degree %d exceeds the syntactic level %d" % (deg, k_max))
+        if deg > best_degree:
+            best_degree = deg
+            witness = norm
+            witness_poly = newton_to_mpoly(coeffs, norm.size, k_max, x0)
+        if best_degree == k_max:
+            return GrowthVerdict(best_degree, mode, False, witness,
+                                 witness_poly, tried)
     exhausted = (mode == "budgeted" and best_degree < k_max)
     return GrowthVerdict(best_degree, mode, exhausted, witness,
                          witness_poly, tried)
@@ -336,14 +417,16 @@ def equiv_mod_k(f: Cplc, g: Cplc, k: int,
                 mode: str = "budgeted", rep=None) -> bool:
     """Whether f - g has growth degree at most k (k = -1 means equality).
 
-    `rep` represents f - g as growth_degree takes it.  Raises
-    BudgetExhausted when the budgeted search can neither produce a witness
-    of higher growth nor certify the bound.
+    `rep` represents f - g, or is an Analysis of it, as growth_degree
+    takes it.  Raises BudgetExhausted when the budgeted search can neither
+    produce a witness of higher growth nor certify the bound.
     """
     h = f.sub(g)
     if h.is_zero_syntactic():
         return True
     if k < 0:
+        if isinstance(rep, Analysis):
+            rep = rep.rep
         return series.minimize(h.to_linrep() if rep is None else rep).dim == 0
     if h.level <= k:
         return True

@@ -9,8 +9,26 @@ successive suffixes plus the output of the final state.
 
 Merges are decided on the row vectors I mu(w) of one minimal representation
 of f, which determine the residuals f|_w: equal vectors merge, and at k >= 1
-the growth search evaluates a nonzero difference from its vector (its
-patterns and product monoid still come from the difference Cplc).
+the growth search evaluates a nonzero difference from its vector.  One
+`analysis.Analysis` of f serves every merge of a question: a question is
+`residual_transducer(f, k)`, or `star_free(f)` and each transition label it
+recurses into, and the analysis is dropped when the question ends.  Each
+merge search on a difference h = f|_{ua} - f|_v reads f's minimal
+representation, f's product monoid, f's pattern streams and f's table of
+matrix powers, and builds none of its own.
+
+Why f's monoid serves h.  A term of a residual f|_x is a term of f whose
+first factor L is replaced by x^{-1}L, with epsilon split off; the
+canonical DFA of that factor is the part of L's DFA reachable from the
+state reached by x, minimized, and its transition monoid is a quotient of
+L's.  The epsilon split adds nothing that the shared letter tracker does
+not see, since it tells the empty word from every other.  So every factor
+of h is a factor of f or such a residual of one, and h's product monoid,
+the product of its factors' transition monoids and the tracker, is a
+quotient of f's: words with the same image under f's morphism have the
+same image under h's.  Hence an f-idempotent pump is h-idempotent, and a
+factorization forest under f's morphism is also one under h's, so every
+pattern f's search reads is a pattern h's search could read.
 
 Star-freeness is decided by induction on the growth degree: at degree <= 0
 the function has finitely many residuals and the question reduces to
@@ -25,7 +43,7 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 
-from . import analysis, lang, series
+from . import analysis, lang
 from .analysis import BudgetExhausted, SearchBudget
 from .cplc import Cplc
 
@@ -39,7 +57,7 @@ class StateBudgetExceeded(RuntimeError):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class ResidualTransducer:
     alphabet: object
     k: int
@@ -104,18 +122,19 @@ class ResidualTransducer:
 
 def residual_transducer(f: Cplc, k: int,
                         budget: SearchBudget | None = None,
-                        max_states: int = 64) -> ResidualTransducer:
+                        max_states: int = 64, _analysis=None) -> ResidualTransducer:
     """Algorithm: breadth-first shortlex exploration of residuals modulo
     growth degree k-1.  In a minimal representation (I, mu, F) of f the
     residual f|_u is the series of the row vector I mu(u), and distinct
     vectors give distinct series; a nonzero difference dv of two vectors is
-    tested with equiv_mod_k on the representation (dv, mu, F).
+    tested with equiv_mod_k on the analysis of f at dv (module docstring).
+    `_analysis` is an analysis of f that star_free has already built.
 
     Raises UncertainConstruction if any merge test runs out of budget, and
     StateBudgetExceeded if more than max_states classes appear.
     """
-    budget = budget or SearchBudget()
-    rep = series.minimize(f.to_linrep())
+    an = _analysis or analysis.Analysis(f, budget)
+    rep = an.rep
     state_words = [()]
     residuals = [f]
     vectors = [rep.I]
@@ -130,8 +149,7 @@ def residual_transducer(f: Cplc, k: int,
             return False
         dv = [x - y for x, y in zip(v, vectors[j])]
         try:
-            return analysis.equiv_mod_k(g, residuals[j], k - 1, budget,
-                                        rep=series.LinRep(f.alphabet, dv, rep.mats, rep.F))
+            return analysis.equiv_mod_k(g, residuals[j], k - 1, an.budget, rep=an.at(dv))
         except BudgetExhausted as exc:
             raise UncertainConstruction(str(exc)) from exc
 
@@ -151,8 +169,9 @@ def residual_transducer(f: Cplc, k: int,
                 residuals.append(g)
                 vectors.append(v)
                 queue.append(target)
-            delta[(q, a)] = target
-            labels[(q, a)] = g.sub(residuals[target])
+            key = (q, a)
+            delta[key] = target
+            labels[key] = g.sub(residuals[target])
     outputs = [r.eval_at_epsilon() for r in residuals]
     return ResidualTransducer(f.alphabet, k, state_words, delta, labels, outputs)
 
@@ -211,14 +230,15 @@ def star_free(f: Cplc, budget: SearchBudget | None = None,
     budget = budget or SearchBudget()
     if _depth > 16:
         raise RecursionError("star-freeness recursion too deep")
-    verdict = analysis.growth_degree(f, budget)
+    an = analysis.Analysis(f, budget)
+    verdict = analysis.growth_degree(f, budget, rep=an)
     k = verdict.degree
     if k <= 0 and verdict.budget_exhausted:
         raise UncertainConstruction("growth degree undecided within budget")
     if k <= 0:
         # the 0-residual transducer of a bounded function is its minimal
         # automaton with integer outputs
-        machine = residual_transducer(f, 0, budget)
+        machine = residual_transducer(f, 0, budget, _analysis=an)
         ok, counter = counter_free(machine)
         if ok:
             return StarFreeVerdict(True, "aperiodic minimal automaton",
@@ -229,7 +249,7 @@ def star_free(f: Cplc, budget: SearchBudget | None = None,
     if verdict.budget_exhausted:
         raise UncertainConstruction(
             "growth degree only bounded from below (%d) within budget" % k)
-    machine = residual_transducer(f, k, budget)
+    machine = residual_transducer(f, k, budget, _analysis=an)
     ok, counter = counter_free(machine)
     trace = [{"degree": k, "states": machine.n_states}]
     if not ok:

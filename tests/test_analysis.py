@@ -7,7 +7,7 @@ from conftest import words_up_to
 from zpoly import forests
 from zpoly.cplc import PumpingPattern, constant_cplc, indicator_cplc, product_monoid, zero_cplc
 from zpoly.lang import Alphabet, FiniteMonoid, compile_regex
-from zpoly.analysis import (BudgetExhausted, CertifiedInfeasible, SearchBudget,
+from zpoly.analysis import (Analysis, BudgetExhausted, CertifiedInfeasible, SearchBudget,
                             _exhaustive_patterns, equiv_mod_k, growth_degree,
                             normalize_pattern, pattern_polynomial, ultimate_poly_check)
 
@@ -85,6 +85,21 @@ def test_max_patterns_caps_the_exhaustive_grid(cap):
     assert len(list(_exhaustive_patterns(AB, 1, SearchBudget(max_patterns=cap)))) == cap
 
 
+@pytest.mark.parametrize("cap", [0, 1, 3])
+def test_max_patterns_caps_the_whole_search(product_counts, cap):
+    """The cap counts grid and harvest patterns over every pump count."""
+    v = growth_degree(product_counts, SearchBudget(max_patterns=cap))
+    assert v.patterns_tried == cap and v.budget_exhausted
+
+
+def test_max_patterns_zero_reads_no_pattern(wa, monkeypatch):
+    calls = count_forests(monkeypatch)
+    for budget in (SearchBudget(max_patterns=0), SearchBudget(pump_len=0, max_patterns=0)):
+        v = growth_degree(wa, budget)
+        assert (v.degree, v.budget_exhausted, v.patterns_tried) == (0, True, 0)
+    assert calls == []
+
+
 def count_forests(monkeypatch):
     """The sample words `forests.simon_forest` is called on from now on."""
     calls = []
@@ -102,7 +117,7 @@ def test_search_settled_by_the_grid_builds_no_forest(wa, monkeypatch):
     assert v.degree == 1 and not v.budget_exhausted
     assert calls == []
     # with an empty grid the witness comes from the harvest, word by word
-    v = growth_degree(wa, SearchBudget(max_patterns=0))
+    v = growth_degree(wa, SearchBudget(pump_len=0))
     assert v.degree == 1 and not v.budget_exhausted
     assert 0 < len(calls) < 10
 
@@ -171,6 +186,26 @@ def test_equiv_mod_bounded(wa):
 def test_equiv_mod_product(product_counts, wa):
     assert not equiv_mod_k(product_counts, zero_cplc(AB), 1)
     assert equiv_mod_k(product_counts, product_counts.add(wa), 1)
+
+
+def test_analysis_at_a_difference_vector_answers_like_the_difference(product_counts):
+    """Searches on h = f|u - f|v read f's analysis at the row vector of h
+    and reach the verdicts of a search on h itself."""
+    f = product_counts
+    an = Analysis(f)
+
+    def vector(word):
+        v = an.rep.I
+        for a in word:
+            v = an.rep.mats[a].vecmat(v)
+        return v
+
+    for u, v in [(("a",), ("b",)), (("a", "b"), ("b", "a")), (("a",), ("a", "b"))]:
+        g, h = f.residual(u), f.residual(v)
+        view = an.at([x - y for x, y in zip(vector(u), vector(v))])
+        assert growth_degree(g.sub(h), rep=view).degree == growth_degree(g.sub(h)).degree
+        for k in range(-1, f.level + 1):
+            assert equiv_mod_k(g, h, k, rep=view) == equiv_mod_k(g, h, k)
 
 
 # ---------------------------------------------------------------------------

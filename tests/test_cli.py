@@ -417,7 +417,7 @@ def test_monoid_too_large_is_undecided(files, capsys, monkeypatch):
 def test_certified_infeasible_outside_growth_is_undecided(files, capsys, monkeypatch):
     from zpoly import analysis
 
-    def infeasible(f, budget=None, mode="budgeted"):
+    def infeasible(f, budget=None, mode="budgeted", rep=None):
         raise analysis.CertifiedInfeasible("needs more than 5 pump candidates")
 
     monkeypatch.setattr(analysis, "growth_degree", infeasible)

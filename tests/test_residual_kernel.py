@@ -9,22 +9,30 @@ zero difference is a merge, and at level k >= 1 a nonzero one goes to
 equiv_mod_k with the difference vector as its representation.  Both must
 build the same machines, raise the same exceptions and reach the same
 star-freeness verdicts.
+
+The library's merge searches also read f's product monoid and patterns
+instead of each difference's; the property below checks the argument
+that makes this sound (the `canon` docstring), and the counter tests
+check that one question builds one analysis.
 """
 
 import functools
+import itertools
 import os
 import random
 import sys
-from collections import deque
+from collections import Counter, deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import _wa_times_wb, count_a, signed_length, twelve_term_function
-from zpoly import canon
+from conftest import _wa_times_wb, count_a, signed_length, twelve_term_function, words_up_to
+from zpoly import analysis, canon, series
 from zpoly.analysis import BudgetExhausted, SearchBudget, equiv_mod_k
 from zpoly.canon import (ResidualTransducer, StateBudgetExceeded, UncertainConstruction,
                          residual_transducer, star_free)
-from zpoly.cplc import Cplc, indicator_cplc
+from zpoly.cplc import Cplc, indicator_cplc, product_monoid
 from zpoly.lang import Alphabet, compile_regex
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
@@ -36,7 +44,9 @@ AB = Alphabet(["a", "b"])
 # the oracle
 
 
-def oracle_residual_transducer(f, k, budget=None, max_states=64):
+def oracle_residual_transducer(f, k, budget=None, max_states=64, _analysis=None):
+    """`_analysis`, the analysis star_free hands over, is ignored: every
+    merge builds its own."""
     budget = budget or SearchBudget()
     state_words = [()]
     residuals = [f]
@@ -177,3 +187,109 @@ def random_functions(seed, count):
 def test_random_combinations(index, monkeypatch):
     f = random_functions(7, 6)[index]
     assert_same(f, range(f.level + 1), 8, monkeypatch)
+
+
+# ---------------------------------------------------------------------------
+# one analysis per question
+
+
+def pool_terms(max_factors):
+    """Hypothesis terms for `combination`: 1-3 terms of 2..max_factors
+    factors drawn from the benchmark's pool, so of level 1 up to
+    max_factors - 1."""
+    factors = st.lists(st.sampled_from(workloads.POOL), min_size=2, max_size=max_factors)
+    return st.lists(st.tuples(st.sampled_from([-2, -1, 1, 2]), factors.map(tuple)),
+                    min_size=1, max_size=3)
+
+
+SHORT = st.lists(st.sampled_from("ab"), max_size=2).map(tuple)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pool_terms(3), SHORT, st.sampled_from("ab"), SHORT)
+def test_difference_monoid_is_a_quotient_of_f(terms, u, a, v):
+    """Words with one image under f's product morphism have one image
+    under the morphism of h = f|ua - f|v."""
+    f = combination(terms)
+    h = f.residual(u + (a,)).sub(f.residual(v))
+    _, f_morphism = product_monoid(f)
+    _, h_morphism = product_monoid(h)
+    h_of_f = {}
+    for w in words_up_to("ab", 6):
+        x = h_morphism.image(w)
+        assert h_of_f.setdefault(f_morphism.image(w), x) == x, w
+
+
+def counted_calls(monkeypatch):
+    """Calls of series.minimize and of product_monoid from now on, each
+    charged to the innermost canon.star_free call running, numbered from 1
+    (0 outside one); ("entered", n) marks star_free call n."""
+    calls = Counter()
+    running = [0]
+    numbers = itertools.count(1)
+
+    def charge(name, real):
+        def wrapper(*args, **kwargs):
+            calls[(name, running[-1])] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(series, "minimize", charge("minimize", series.minimize))
+    monkeypatch.setattr(analysis, "product_monoid",
+                        charge("product_monoid", analysis.product_monoid))
+    real_star_free = canon.star_free
+
+    def numbered_star_free(f, budget=None, _depth=0):
+        running.append(next(numbers))
+        calls[("entered", running[-1])] += 1
+        try:
+            return real_star_free(f, budget, _depth)
+        finally:
+            running.pop()
+
+    monkeypatch.setattr(canon, "star_free", numbered_star_free)
+    return calls
+
+
+COUNTED = fixtures() + workload_functions()
+
+
+@pytest.mark.parametrize("name,f", COUNTED, ids=[n for n, _ in COUNTED])
+def test_one_question_minimizes_once_and_builds_one_monoid(name, f, monkeypatch):
+    calls = counted_calls(monkeypatch)
+    for k in range(f.level + 1):
+        calls.clear()
+        outcome(residual_transducer, f, k, max_states=8)
+        assert calls["minimize", 0] == 1
+        assert calls["product_monoid", 0] <= (1 if k else 0)
+    calls.clear()
+    try:
+        canon.star_free(f)
+    except (UncertainConstruction, StateBudgetExceeded):
+        pass
+    questions = [n for name, n in calls if name == "entered"]
+    assert calls["minimize", 0] == calls["product_monoid", 0] == 0
+    for n in questions:
+        assert calls["minimize", n] == 1 and calls["product_monoid", n] <= 1
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(pool_terms(2))
+def test_random_machines_evaluate_like_f_and_star_free_agrees(terms):
+    """Level-1 draws: below its level a level-2 draw can spend a minute on
+    merges that all end undecided, so those are left to the fixed corpus."""
+    f = combination(terms)
+    words = words_up_to("ab", 6)
+    for k in range(f.level + 1):
+        try:
+            machine = residual_transducer(f, k, max_states=8)
+        except (UncertainConstruction, StateBudgetExceeded):
+            continue
+        assert [machine.eval(w) for w in words] == [f.eval(w) for w in words]
+    verdicts = []
+    for build in (residual_transducer, oracle_residual_transducer):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(canon, "residual_transducer", functools.partial(build, max_states=8))
+            verdicts.append(star_free_outcome(f))
+    if verdicts[0][0] == verdicts[1][0] == "verdict":
+        assert verdicts[0][1] == verdicts[1][1]
