@@ -37,7 +37,6 @@ under h's.
 
 from __future__ import annotations
 
-import copy
 import functools
 import itertools
 import math
@@ -101,9 +100,9 @@ class _Family:
     and searches are powered once.
     """
 
-    def __init__(self, rep: series.LinRep):
+    def __init__(self, rep: series.LinRep, powers: dict | None = None):
         self.rep = rep
-        self.powers = {}
+        self.powers = {} if powers is None else powers
 
     def matrix(self, word, e: int = 1):
         key = (word, e)
@@ -328,26 +327,47 @@ class _Patterns:
             yield read[i]
 
 
+@dataclass(frozen=True)
 class Analysis:
     """What the growth searches of one question read about f, as the module
-    docstring describes.  `rep` (default: f minimized) must have columns
-    mu(v) F that span its space.  The analysis keeps every pattern and
-    matrix power read so far: drop it with its question."""
+    docstring describes: `family` evaluates a minimal representation of f
+    (or, after `at`, of a row vector in it) and `patterns` streams f's
+    patterns under f's budget.  The analysis keeps every pattern and matrix
+    power read so far: drop it with its question."""
 
-    def __init__(self, f: Cplc, budget: SearchBudget | None = None, rep=None):
-        self.budget = budget or SearchBudget()
-        self.rep = series.minimize(f.to_linrep()) if rep is None else rep
-        self.family = _Family(self.rep)
-        self.patterns = _Patterns(f, self.budget)
+    family: _Family
+    patterns: _Patterns
+
+    @classmethod
+    def of(cls, f: Cplc, budget: SearchBudget | None = None) -> "Analysis":
+        return cls(_Family(series.minimize(f.to_linrep())),
+                   _Patterns(f, budget or SearchBudget()))
+
+    @property
+    def rep(self) -> series.LinRep:
+        return self.family.rep
+
+    @property
+    def budget(self) -> SearchBudget:
+        return self.patterns.budget
 
     def at(self, I) -> "Analysis":
         """The analysis of the series of row vector I in f's representation;
-        it shares f's monoid, patterns and matrix table."""
-        view = copy.copy(self)
-        view.rep = series.LinRep(self.rep.alphabet, I, self.rep.mats, self.rep.F)
-        view.family = copy.copy(self.family)    # shares its table of powers
-        view.family.rep = view.rep
-        return view
+        it shares f's patterns (and monoid) and f's table of matrix powers."""
+        rep = self.rep
+        return Analysis(_Family(series.LinRep(rep.alphabet, I, rep.mats, rep.F),
+                                self.family.powers),
+                        self.patterns)
+
+
+def analysis_for(f: Cplc, budget: SearchBudget | None, an: Analysis | None) -> Analysis:
+    """`an`, or a new Analysis of f under `budget` when `an` is None.  A
+    budget given beside an analysis must be the analysis's own."""
+    if an is None:
+        return Analysis.of(f, budget)
+    if budget is not None and budget != an.budget:
+        raise ValueError("budget %r differs from the analysis's %r" % (budget, an.budget))
+    return an
 
 
 # ---------------------------------------------------------------------------
@@ -355,19 +375,19 @@ class Analysis:
 
 
 def growth_degree(f: Cplc, budget: SearchBudget | None = None,
-                  mode: str = "budgeted", rep=None) -> GrowthVerdict:
+                  mode: str = "budgeted", rep: Analysis | None = None) -> GrowthVerdict:
     """The polynomial growth degree of f, searched from below.
 
     -1 means the zero function (decided exactly); a verdict of k with
     budget_exhausted False is definitive because the syntactic level bounds
-    the degree from above.  `rep` is an Analysis of f, whose budget then
-    rules, or a representation of f with columns mu(v) F spanning its
-    space, so that f = 0 iff rep.I = 0 (default: f minimized).  Patterns
-    are read lazily, as the module docstring describes.
+    the degree from above.  `rep` is an Analysis of f (default:
+    `Analysis.of(f, budget)`); the search runs under its budget, and a
+    different `budget` beside it is an error.  Patterns are read lazily, as
+    the module docstring describes.
     """
     if mode not in ("budgeted", "certified"):
         raise ValueError("unknown mode %r" % mode)
-    an = rep if isinstance(rep, Analysis) else Analysis(f, budget, rep)
+    an = analysis_for(f, budget, rep)
     budget = an.budget
     if not any(an.rep.I):
         return GrowthVerdict(-1, mode, False)
@@ -414,20 +434,18 @@ def growth_degree(f: Cplc, budget: SearchBudget | None = None,
 
 def equiv_mod_k(f: Cplc, g: Cplc, k: int,
                 budget: SearchBudget | None = None,
-                mode: str = "budgeted", rep=None) -> bool:
+                mode: str = "budgeted", rep: Analysis | None = None) -> bool:
     """Whether f - g has growth degree at most k (k = -1 means equality).
 
-    `rep` represents f - g, or is an Analysis of it, as growth_degree
-    takes it.  Raises BudgetExhausted when the budgeted search can neither
-    produce a witness of higher growth nor certify the bound.
+    `rep` is an Analysis of f - g, as growth_degree takes it.  Raises
+    BudgetExhausted when the budgeted search can neither produce a witness
+    of higher growth nor certify the bound.
     """
     h = f.sub(g)
     if h.is_zero_syntactic():
         return True
     if k < 0:
-        if isinstance(rep, Analysis):
-            rep = rep.rep
-        return series.minimize(h.to_linrep() if rep is None else rep).dim == 0
+        return series.minimize(h.to_linrep() if rep is None else rep.rep).dim == 0
     if h.level <= k:
         return True
     verdict = growth_degree(h, budget, mode, rep)

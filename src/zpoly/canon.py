@@ -128,12 +128,13 @@ def residual_transducer(f: Cplc, k: int,
     residual f|_u is the series of the row vector I mu(u), and distinct
     vectors give distinct series; a nonzero difference dv of two vectors is
     tested with equiv_mod_k on the analysis of f at dv (module docstring).
-    `_analysis` is an analysis of f that star_free has already built.
+    `_analysis` is an analysis of f that star_free has already built
+    (under `budget`, when one is given).
 
     Raises UncertainConstruction if any merge test runs out of budget, and
     StateBudgetExceeded if more than max_states classes appear.
     """
-    an = _analysis or analysis.Analysis(f, budget)
+    an = analysis.analysis_for(f, budget, _analysis)
     rep = an.rep
     state_words = [()]
     residuals = [f]
@@ -149,7 +150,7 @@ def residual_transducer(f: Cplc, k: int,
             return False
         dv = [x - y for x, y in zip(v, vectors[j])]
         try:
-            return analysis.equiv_mod_k(g, residuals[j], k - 1, an.budget, rep=an.at(dv))
+            return analysis.equiv_mod_k(g, residuals[j], k - 1, rep=an.at(dv))
         except BudgetExhausted as exc:
             raise UncertainConstruction(str(exc)) from exc
 
@@ -230,8 +231,8 @@ def star_free(f: Cplc, budget: SearchBudget | None = None,
     budget = budget or SearchBudget()
     if _depth > 16:
         raise RecursionError("star-freeness recursion too deep")
-    an = analysis.Analysis(f, budget)
-    verdict = analysis.growth_degree(f, budget, rep=an)
+    an = analysis.Analysis.of(f, budget)
+    verdict = analysis.growth_degree(f, rep=an)
     k = verdict.degree
     if k <= 0 and verdict.budget_exhausted:
         raise UncertainConstruction("growth degree undecided within budget")

@@ -192,7 +192,7 @@ def test_analysis_at_a_difference_vector_answers_like_the_difference(product_cou
     """Searches on h = f|u - f|v read f's analysis at the row vector of h
     and reach the verdicts of a search on h itself."""
     f = product_counts
-    an = Analysis(f)
+    an = Analysis.of(f)
 
     def vector(word):
         v = an.rep.I
@@ -206,6 +206,16 @@ def test_analysis_at_a_difference_vector_answers_like_the_difference(product_cou
         assert growth_degree(g.sub(h), rep=view).degree == growth_degree(g.sub(h)).degree
         for k in range(-1, f.level + 1):
             assert equiv_mod_k(g, h, k, rep=view) == equiv_mod_k(g, h, k)
+
+
+def test_an_analysis_brings_its_budget(wa):
+    an = Analysis.of(wa, SearchBudget(max_patterns=0))
+    assert growth_degree(wa, rep=an).patterns_tried == 0
+    assert growth_degree(wa, SearchBudget(max_patterns=0), rep=an).patterns_tried == 0
+    with pytest.raises(ValueError, match="differs from the analysis"):
+        growth_degree(wa, SearchBudget(), rep=an)
+    with pytest.raises(ValueError, match="differs from the analysis"):
+        equiv_mod_k(wa, wa.scale(2), 0, SearchBudget(), rep=Analysis.of(wa.scale(-1), an.budget))
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from zpoly.analysis import BudgetExhausted, SearchBudget, equiv_mod_k
 from zpoly.canon import (ResidualTransducer, StateBudgetExceeded, UncertainConstruction,
                          residual_transducer, star_free)
 from zpoly.cplc import Cplc, indicator_cplc, product_monoid
-from zpoly.lang import Alphabet, compile_regex
+from zpoly.lang import Alphabet, MonoidTooLarge, compile_regex
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
 import workloads  # noqa: E402  (the benchmark's residual shapes)
@@ -271,6 +271,21 @@ def test_one_question_minimizes_once_and_builds_one_monoid(name, f, monkeypatch)
     assert calls["minimize", 0] == calls["product_monoid", 0] == 0
     for n in questions:
         assert calls["minimize", n] == 1 and calls["product_monoid", n] <= 1
+
+
+def test_monoid_cap_applies_to_f_not_to_its_differences():
+    """The merge searches read f's product monoid, so `monoid_cap` must hold
+    f's monoid (10 elements here), even where every difference's monoid
+    (at most 9) fits, as in the per-merge oracle."""
+    f = combination(((1, ("a*", "a*")), (-2, ("(a|b)*b", "(ab)*"))))
+    assert product_monoid(f)[0].size == 10
+    budget = SearchBudget(monoid_cap=9)
+    expected = outcome(oracle_residual_transducer, f, 1)
+    assert expected[0] == "machine"
+    assert outcome(oracle_residual_transducer, f, 1, budget) == expected
+    with pytest.raises(MonoidTooLarge, match="cap 9"):
+        residual_transducer(f, 1, budget)
+    assert outcome(residual_transducer, f, 1, SearchBudget(monoid_cap=10)) == expected
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
