@@ -236,21 +236,19 @@ def _sample_words(alphabet, budget: SearchBudget):
     return sorted(set(words))
 
 
-def _grid(pumps, connectors, size, cap=None):
+def _grid(pumps, connectors, size):
     """The patterns alpha_0 w_1 ... w_size alpha_size with pump words w_i
-    and connectors alpha_i, pumps varying slowest; at most `cap` of them."""
-    return itertools.islice(
-        (PumpingPattern(alpha_combo, pump_combo)
-         for pump_combo in itertools.product(pumps, repeat=size)
-         for alpha_combo in itertools.product(connectors, repeat=size + 1)),
-        cap)
+    and connectors alpha_i, pumps varying slowest."""
+    return (PumpingPattern(alpha_combo, pump_combo)
+            for pump_combo in itertools.product(pumps, repeat=size)
+            for alpha_combo in itertools.product(connectors, repeat=size + 1))
 
 
 def _exhaustive_patterns(alphabet, size, budget: SearchBudget):
     letters = list(alphabet.letters)
     return _grid(_words_up_to(letters, budget.pump_len, include_empty=False),
                  _words_up_to(letters, budget.connector_len, include_empty=True),
-                 size, budget.max_patterns)
+                 size)
 
 
 def _certified_patterns(f: Cplc, size, morphism, budget: SearchBudget):

@@ -16,6 +16,7 @@ from . import analysis, canon, cplc, forests, lang, mso, series
 from .analysis import (BudgetExhausted, CertifiedInfeasible, PatternVerificationError,
                        SearchBudget)
 from .canon import StateBudgetExceeded, UncertainConstruction
+from .exact import char_poly
 
 EXIT_OK = 0
 EXIT_NO = 1
@@ -25,6 +26,21 @@ EXIT_INPUT = 3
 
 class InputError(ValueError):
     pass
+
+
+class NotCauchy(InputError):
+    """`what` needs a Cauchy combination but got the linear representation `rep`."""
+
+    def __init__(self, what: str, rep):
+        super().__init__("%s needs a polynomial-growth (Cauchy combination) "
+                         "input, not a raw linear representation" % what)
+        self.what = what
+        self.rep = rep
+
+
+# Questions about a polynomial-growth function: an exponential input is a
+# definite no to each of them.
+GROWTH_QUESTIONS = ("growth", "pump", "rt", "starfree")
 
 
 # Library errors that leave a question open within the budget (exit 2).
@@ -86,9 +102,26 @@ def as_linrep(kind, value):
 
 def need_cplc(kind, value, what: str):
     if kind != "cplc":
-        raise InputError("%s needs a polynomial-growth (Cauchy combination) "
-                         "input, not a raw linear representation" % what)
+        raise NotCauchy(what, value)
     return value
+
+
+def exponential_word(rep):
+    """(word, polynomial) showing that `rep` grows exponentially, or None.
+
+    In a minimal representation the vectors I mu(u) and mu(v) F span the
+    space, so an eigenvalue of modulus > 1 of some mu(w) makes some
+    f(u w^n v) grow exponentially.  By Kronecker, a monic integer
+    polynomial whose roots all have modulus <= 1 has only 0 and roots of
+    unity as roots; so an integral characteristic polynomial that the
+    spectrum probe rejects has a root of modulus > 1.  A rational one
+    proves nothing (mu(a) = (1/2) is bounded)."""
+    rep = series.minimize(rep)
+    for word, _ in series.spectrum_probe(rep, "zero_union_unity").violations:
+        p = char_poly(rep.word_matrix(word))
+        if all(c.denominator == 1 for c in p.coeffs):
+            return word, p
+    return None
 
 
 def parse_word(text: str, alphabet):
@@ -400,6 +433,15 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
+    except NotCauchy as exc:
+        found = exc.what in GROWTH_QUESTIONS and exponential_word(exc.rep)
+        if not found:
+            print("input error: %s" % exc, file=sys.stderr)
+            return EXIT_INPUT
+        print("not of polynomial growth: the word matrix of %r has characteristic "
+              "polynomial %r, with a root of modulus > 1"
+              % ("".join(map(str, found[0])), found[1]))
+        return EXIT_NO
     except (InputError, lang.RegexError, cplc.ExprError, mso.MsoError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT

@@ -420,28 +420,35 @@ def expression_uses_star(ast) -> bool:
     return False
 
 
-def _fold_expression(alphabet: Alphabet, node, indicator):
+def _fold_expression(alphabet: Alphabet, ast, indicator):
     """Fold the AST with the combinators that Cplc and LinRep share;
-    `indicator` maps a DFA to its indicator function in the target type."""
-    tag = node[0]
-    if tag == "ind":
-        return indicator(lang.compile_regex(node[1], alphabet))
-    if tag == "int":
-        return indicator(lang.universal_language(alphabet)).scale(node[1])
-    if tag == "scale":
-        return _fold_expression(alphabet, node[2], indicator).scale(node[1])
-    if tag in ("add", "sub", "cauchy"):
-        left = _fold_expression(alphabet, node[1], indicator)
-        return getattr(left, tag)(_fold_expression(alphabet, node[2], indicator))
-    if tag == "star":
-        if indicator is not series.indicator:
-            raise ExprError("star(...) requires compilation to a linear representation")
-        inner = _fold_expression(alphabet, node[1], indicator)
-        try:
-            return inner.star()
-        except ValueError as exc:   # the iterated series is not proper
-            raise ExprError(str(exc)) from None
-    raise ExprError("unknown node %r" % (tag,))
+    `indicator` maps a DFA to its indicator function in the target type.
+    Each distinct `ind` text is compiled once per fold (the values are
+    immutable, so repeated terms share one)."""
+    indicators = {}   # regex text -> its indicator function
+
+    def fold(node):
+        tag = node[0]
+        if tag == "ind":
+            if node[1] not in indicators:
+                indicators[node[1]] = indicator(lang.compile_regex(node[1], alphabet))
+            return indicators[node[1]]
+        if tag == "int":
+            return indicator(lang.universal_language(alphabet)).scale(node[1])
+        if tag == "scale":
+            return fold(node[2]).scale(node[1])
+        if tag in ("add", "sub", "cauchy"):
+            return getattr(fold(node[1]), tag)(fold(node[2]))
+        if tag == "star":
+            if indicator is not series.indicator:
+                raise ExprError("star(...) requires compilation to a linear representation")
+            try:
+                return fold(node[1]).star()
+            except ValueError as exc:   # the iterated series is not proper
+                raise ExprError(str(exc)) from None
+        raise ExprError("unknown node %r" % (tag,))
+
+    return fold(ast)
 
 
 def expression_to_cplc(alphabet: Alphabet, ast) -> Cplc:

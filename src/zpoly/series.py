@@ -301,6 +301,37 @@ def distinguishing_word(f: LinRep, g: LinRep):
     raise AssertionError("nonzero minimal series with no short witness")
 
 
+def lyndon_root(word):
+    """(r, e) with r a Lyndon word and `word` a rotation of r^e.
+
+    r is the least rotation of the primitive root of `word` (the empty word
+    is its own root, with e = 1).  Linear time: the smallest period comes
+    from the KMP failure function, and the least rotation of the primitive
+    root u from Duval's factorization run over uu."""
+    n = len(word)
+    border = [0] * (n + 1)   # border[i]: longest proper border of word[:i]
+    k = 0
+    for i in range(1, n):
+        while k and word[i] != word[k]:
+            k = border[k]
+        if word[i] == word[k]:
+            k += 1
+        border[i + 1] = k
+    p = n - border[n]
+    if not n or n % p:
+        p = n
+    uu = word[:p] * 2
+    i = start = 0
+    while i < p:
+        start, j, k = i, i + 1, i
+        while j < 2 * p and uu[k] <= uu[j]:
+            k = i if uu[k] < uu[j] else k + 1
+            j += 1
+        while i <= k:
+            i += j - k
+    return uu[start:start + p], (n // p if p else 1)
+
+
 @dataclass
 class SpectrumReport:
     ok: bool
@@ -321,11 +352,28 @@ def spectrum_probe(rep: LinRep, mode: str, length_bound: int = 4,
     The letter matrices are scaled once to integer matrices A_a = d mu(a),
     d the lcm of their denominators, so mu(w) = A_w / d^|w|, and the
     coefficient of X^(n-i) in det(X - mu(w)) is that of det(X - A_w)
-    divided by d^(|w| i).  The words are
-    checked in sorted order with a stack of the previous word's prefix
-    products: a word shares the stack up to its common prefix with the
-    previous one, which in sorted order is its longest common prefix with
-    any earlier word, so each distinct prefix costs one integer product.
+    divided by d^(|w| i).
+
+    Each word w is decided from its Lyndon root: w is a rotation of r^e
+    with r a Lyndon word (`lyndon_root`).  Since det(X - A_u A_v) =
+    det(X - A_v A_u), every rotation of r^e has the polynomial of
+    A_r^e, and as |w| = e |r| the scaling by d^(|w| i) is the same too.
+    The eigenvalues of mu(r^e) are the e-th powers of those of mu(r), and
+    both {0, 1} and {0} with the roots of unity are closed under
+    lambda -> lambda^e, so a conforming root settles every word over it.
+    Only a violating root needs its powers: det(X - A_r^e) is computed
+    once per (r, e) that occurs, and reported for each of its words, so
+    the report is the one of checking every word on its own.
+
+    The roots are checked in sorted order with a stack of the previous
+    root's prefix products: a root shares the stack up to its common
+    prefix with the previous one, which in sorted order is its longest
+    common prefix with any earlier root, so each distinct prefix costs one
+    integer product.  Cost: one characteristic polynomial per distinct
+    root, plus one per (r, e) with e > 1 whose root violates.  Every root
+    of an exhaustive word set is itself one of its words, so this is never
+    more than one per word; a sampled r^e whose root was not drawn costs
+    at most two.
     """
     if length_bound < 0 or sample_count < 1:
         raise ValueError("spectrum_probe needs length_bound >= 0 and sample_count >= 1")
@@ -345,18 +393,38 @@ def spectrum_probe(rep: LinRep, mode: str, length_bound: int = 4,
             words.append(tuple([rng.choice(letters) for _ in range(k)]))
     d = common_denominator(x for a in letters for r in rep.mats[a].rows for x in r)
     scaled = {a: rep.mats[a].scale(d) for a in letters}
+
+    def polynomial(a_w, length):
+        """det(X - mu(w)) from A_w, for a word w of the given length."""
+        return UPoly([Fraction(c, d ** (length * (rep.dim - j)))
+                      for j, c in enumerate(char_poly(a_w).coeffs)])
+
     words = sorted(set(words))
-    prefixes = [QMat.identity(rep.dim)]   # A_u for the prefixes u of the previous word
+    roots = {w: lyndon_root(w) for w in words}
+    prefixes = [QMat.identity(rep.dim)]   # A_u for the prefixes u of the previous root
     prev = ()
+    violating = {}   # violating root r -> (A_r, repr of its polynomial)
+    for r in sorted({r for r, _ in roots.values()}):
+        k = next((i for i, (x, y) in enumerate(zip(prev, r)) if x != y), min(len(prev), len(r)))
+        del prefixes[k + 1:]
+        for a in r[k:]:
+            prefixes.append(prefixes[-1] * scaled[a])
+        p = polynomial(prefixes[-1], len(r))
+        if not classify_roots(p, mode):
+            violating[r] = (prefixes[-1], repr(p))
+        prev = r
+    powers = {}   # (r, e) with r violating -> repr of the violating polynomial, or None
     violations = []
     for w in words:
-        k = next((i for i, (x, y) in enumerate(zip(prev, w)) if x != y), min(len(prev), len(w)))
-        del prefixes[k + 1:]
-        for a in w[k:]:
-            prefixes.append(prefixes[-1] * scaled[a])
-        p = UPoly([Fraction(c, d ** (len(w) * (rep.dim - j)))
-                   for j, c in enumerate(char_poly(prefixes[-1]).coeffs)])
-        if not classify_roots(p, mode):
-            violations.append((w, repr(p)))
-        prev = w
+        r, e = roots[w]
+        if r not in violating:
+            continue
+        if (r, e) not in powers:
+            a_r, shown = violating[r]
+            if e > 1:
+                p = polynomial(a_r.power(e), len(w))
+                shown = None if classify_roots(p, mode) else repr(p)
+            powers[r, e] = shown
+        if powers[r, e] is not None:
+            violations.append((w, powers[r, e]))
     return SpectrumReport(not violations, mode, len(words), violations)

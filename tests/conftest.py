@@ -15,7 +15,8 @@ from fractions import Fraction
 import pytest
 
 from zpoly.exact import QMat, UPoly
-from zpoly.lang import Alphabet, RegexError, compile_regex, parse_alphabet_header
+from zpoly.lang import (Alphabet, RegexError, compile_regex, parse_alphabet_header,
+                        universal_language)
 from zpoly.cplc import ExprError, indicator_cplc, constant_cplc
 from zpoly.mso import MsoError, is_so
 
@@ -128,6 +129,15 @@ def char_poly(m: QMat) -> UPoly:
             mk = mk + QMat.identity(n).scale(ck)
     # coeffs are for X^n, X^{n-1}, ..., X^0
     return UPoly(list(reversed(coeffs)))
+
+
+def lyndon_root(word):
+    """(r, e): r the least rotation of the primitive root u of `word`, and
+    word = u^e; every rotation is compared."""
+    n = len(word)
+    p = next((p for p in range(1, n + 1) if n % p == 0 and word[:p] * (n // p) == word), 0)
+    u = word[:p]
+    return min((u[i:] + u[:i] for i in range(p)), default=()), (n // p if p else 1)
 
 
 def count_splits(word, fs) -> int:
@@ -305,6 +315,21 @@ def twelve_term_function():
         term = term.scale(1 if i == 0 else (rng.randint(-2, 2) or 1))
         total = term if total is None else total.add(term)
     return total
+
+
+def fold_expression(alphabet, node, indicator):
+    """The expression fold that compiles every `ind` afresh."""
+    tag = node[0]
+    if tag == "ind":
+        return indicator(compile_regex(node[1], alphabet))
+    if tag == "int":
+        return indicator(universal_language(alphabet)).scale(node[1])
+    if tag == "scale":
+        return fold_expression(alphabet, node[2], indicator).scale(node[1])
+    if tag == "star":
+        return fold_expression(alphabet, node[1], indicator).star()
+    left = fold_expression(alphabet, node[1], indicator)
+    return getattr(left, tag)(fold_expression(alphabet, node[2], indicator))
 
 
 # ---------------------------------------------------------------------------

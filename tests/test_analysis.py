@@ -80,11 +80,6 @@ def test_growth_witness_realizes(product_counts):
 # pattern sources
 
 
-@pytest.mark.parametrize("cap", [0, 1, 7])
-def test_max_patterns_caps_the_exhaustive_grid(cap):
-    assert len(list(_exhaustive_patterns(AB, 1, SearchBudget(max_patterns=cap)))) == cap
-
-
 @pytest.mark.parametrize("cap", [0, 1, 3])
 def test_max_patterns_caps_the_whole_search(product_counts, cap):
     """The cap counts grid and harvest patterns over every pump count."""

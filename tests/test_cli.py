@@ -134,9 +134,37 @@ def test_growth(files, capsys):
 
 
 def test_growth_rejects_linrep_input(files, capsys):
+    """star(-3 * ind(a*a)) is (-2)^n-exponential: a definite no."""
     f = files("geo.zexpr", STAR_ZEXPR)
-    code, _, err = run(capsys, "growth", f)
-    assert code == 3 and "input error" in err
+    code, out, err = run(capsys, "growth", f)
+    assert code == 1 and not err
+    assert "not of polynomial growth" in out and "'a'" in out and "2*X + X^2" in out
+
+
+HALF_JSON = json.dumps({"alphabet": ["a"], "dim": 1, "initial": ["1"], "final": ["1"],
+                        "matrices": {"a": [["1/2"]]}})
+
+
+@pytest.mark.parametrize("command", ["growth", "pump", "rt", "starfree"])
+def test_exponential_input_is_a_definite_no(files, capsys, command):
+    """2^n has X - 2 on `a`, an integral polynomial with a root of modulus
+    > 1; a bounded linear representation, and one whose violating
+    polynomial is not integral, stay malformed input."""
+    code, out, err = run(capsys, command, files("pow.zmso", POWERSET_ZMSO))
+    assert code == 1 and not err
+    assert out == ("not of polynomial growth: the word matrix of 'a' has characteristic "
+                   "polynomial -2 + X, with a root of modulus > 1\n")
+    for name, text in (("bounded.zexpr", "alphabet = a b\nstar(ind(ab))\n"),
+                       ("half.json", HALF_JSON)):
+        code, out, err = run(capsys, command, files(name, text))
+        assert code == 3 and not out and "input error" in err
+
+
+def test_exponential_input_elsewhere_is_malformed(files, capsys):
+    f = files("pow.zmso", POWERSET_ZMSO)
+    for argv in (["equiv", f, f, "--mod", "1"], ["compile", f, "--target", "cplc"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and not out and "input error" in err
 
 
 def test_rt_formats(files, capsys):

@@ -1,10 +1,13 @@
 """Cauchy combinations of regular-language indicators."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_cauchy, count_splits, words_up_to
+from conftest import brute_cauchy, count_splits, fold_expression, words_up_to
+from zpoly import lang, series
 from zpoly.cplc import (Cplc, ExprError, PumpingPattern, _count_splits, constant_cplc,
                         expression_to_cplc, expression_to_linrep,
                         expression_uses_star, indicator_cplc,
@@ -150,6 +153,48 @@ def test_expression_star_goes_to_linrep():
         expression_to_cplc(alphabet, ast)
     rep = expression_to_linrep(alphabet, ast)
     assert [rep.eval(("a",) * n) for n in range(6)] == [1, -3, 6, -12, 24, -48]
+
+
+def twelve_term_text():
+    """The 12-term expression of `conftest.twelve_term_function` as text:
+    24 `ind`s over 8 distinct regexes."""
+    pool = ["(a|b)*a", "(a|b)*b", "a*", "b(a|b)*", "(ab)*", "(a|b)*ab(a|b)*",
+            "(aa|b)*", "a(a|b)*b"]
+    rng = random.Random(1)
+    terms = []
+    for i in range(12):
+        x, y = rng.choice(pool), rng.choice(pool)
+        c = 1 if i == 0 else (rng.randint(-2, 2) or 1)
+        terms.append("%d * (ind(%s) . ind(%s))" % (c, x, y))
+    return "alphabet = a b\n" + " + ".join(terms) + "\n"
+
+
+def ind_texts(node):
+    if node[0] == "ind":
+        return [node[1]]
+    return [t for child in node[1:] if isinstance(child, tuple) for t in ind_texts(child)]
+
+
+@pytest.mark.parametrize("text", [twelve_term_text(),
+                                  "alphabet = a b\nstar(ind(ab) + 2 * ind(aa*)) . ind(ab)"
+                                  " - star(ind(aa*) . ind(ab))\n"])
+def test_each_regex_compiles_once_per_fold(text, monkeypatch):
+    """Each fold compiles every distinct `ind` text once, and builds what a
+    fold compiling every `ind` afresh builds."""
+    alphabet, ast = parse_expression(text)
+    compiled = []
+    compile_regex = lang.compile_regex
+    monkeypatch.setattr(lang, "compile_regex",
+                        lambda t, a: compiled.append(t) or compile_regex(t, a))
+    folds = [(expression_to_linrep, series.indicator)]
+    if not expression_uses_star(ast):
+        folds.append((expression_to_cplc, indicator_cplc))
+    for fold, indicator in folds:
+        compiled.clear()
+        got = fold(alphabet, ast)
+        assert sorted(compiled) == sorted(set(ind_texts(ast)))
+        assert got.to_json() == fold_expression(alphabet, ast, indicator).to_json()
+    assert len(set(ind_texts(ast))) < len(ind_texts(ast))
 
 
 def test_expression_errors():

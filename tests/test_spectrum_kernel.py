@@ -17,10 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import char_poly as oracle_char_poly
+from conftest import lyndon_root as oracle_lyndon_root
 from conftest import twelve_term_function
+from zpoly import series
+from zpoly.cplc import indicator_cplc
 from zpoly.exact import QMat, char_poly, classify_roots, common_denominator
-from zpoly.lang import Alphabet
-from zpoly.series import LinRep, SpectrumReport, minimize, spectrum_probe
+from zpoly.lang import Alphabet, compile_regex
+from zpoly.series import LinRep, SpectrumReport, lyndon_root, minimize, spectrum_probe
 
 MODES = ("zero_one", "zero_union_unity")
 
@@ -200,3 +203,50 @@ def test_reports_match_scaled_back_char_poly(rep, mode):
     for kwargs in ({"length_bound": 3}, {"length_bound": 6, "sample_count": 20}):
         words = oracle_words(rep, **kwargs)
         assert spectrum_probe(rep, mode, **kwargs) == scaled_back_report(rep, mode, words)
+
+
+# ---------------------------------------------------------------------------
+# one characteristic polynomial per Lyndon root
+
+
+@st.composite
+def root_words(draw):
+    """Words up to length 60 over 1-3 letters, many of them rotated powers."""
+    letters = "abc"[:draw(st.integers(1, 3))]
+    u = draw(st.lists(st.sampled_from(letters), max_size=20))
+    k = draw(st.integers(1, 58 // max(len(u), 1)))
+    w = u * k + draw(st.lists(st.sampled_from(letters), max_size=2 if draw(st.booleans()) else 0))
+    i = draw(st.integers(0, len(w)))
+    return tuple(w[i:] + w[:i])
+
+
+@settings(max_examples=300, deadline=None)
+@given(root_words())
+def test_lyndon_root_matches_oracle(w):
+    r, e = lyndon_root(w)
+    assert (r, e) == oracle_lyndon_root(w)
+    assert len(r) * e == len(w)
+
+
+def count_char_polys(monkeypatch):
+    calls = []
+    monkeypatch.setattr(series, "char_poly", lambda m: calls.append(m) or char_poly(m))
+    return calls
+
+
+def test_one_char_poly_per_lyndon_root(monkeypatch):
+    """The 31 words of length <= 4 over {a, b} have 9 Lyndon roots: the
+    empty word and a, b, ab, aab, abb, aaab, aabb, abbb."""
+    rep = minimize(twelve_term_function().to_linrep())
+    calls = count_char_polys(monkeypatch)
+    report = spectrum_probe(rep, "zero_union_unity")
+    assert report.ok and report.checked == 31
+    assert len(calls) <= 9
+
+
+def test_one_letter_probe_reads_two_roots(monkeypatch):
+    rep = minimize(indicator_cplc(compile_regex("a*", Alphabet(["a"]))).to_linrep())
+    calls = count_char_polys(monkeypatch)
+    report = spectrum_probe(rep, "zero_union_unity", length_bound=1500, sample_count=5000)
+    assert report.ok and report.checked == 1501
+    assert len(calls) <= 2
