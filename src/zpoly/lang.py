@@ -4,11 +4,14 @@ transition monoids.
 DFAs are always complete and, once built through `canonical`, minimal with
 states renumbered by breadth-first search from the initial state.  Two
 canonical DFAs are structurally equal iff they accept the same language,
-which lets the rest of the package use them as dictionary keys.
+which lets the rest of the package use them as dictionary keys.  One
+breadth-first search, `explore`, numbers the states of the products and
+subset constructions and of the canonical form itself.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -125,89 +128,55 @@ class Dfa:
         result._canonical = True
         return result
 
-    def some_accepted_word(self):
-        """A shortlex-least accepted word, or None for the empty language."""
-        if self.initial in self.accepting:
-            return ()
-        seen = {self.initial}
-        queue = deque([(self.initial, ())])
-        while queue:
-            q, w = queue.popleft()
-            for a in self.alphabet:
-                q2 = self.delta[a][q]
-                if q2 in seen:
-                    continue
-                w2 = w + (a,)
-                if q2 in self.accepting:
-                    return w2
-                seen.add(q2)
-                queue.append((q2, w2))
-        return None
-
     def __repr__(self):
         return "Dfa(n=%d, accepting=%s)" % (self.n, sorted(self.accepting))
 
 
-def _reachable(dfa: Dfa):
-    seen = [False] * dfa.n
-    seen[dfa.initial] = True
-    stack = [dfa.initial]
-    while stack:
-        q = stack.pop()
-        for a in dfa.alphabet:
-            q2 = dfa.delta[a][q]
-            if not seen[q2]:
-                seen[q2] = True
-                stack.append(q2)
-    return [q for q in range(dfa.n) if seen[q]]
+def explore(alphabet: Alphabet, start, step, accepting) -> Dfa:
+    """The automaton of the states reachable from `start`.  States are any
+    hashable values; `step(state, letter)` is the successor of a state and
+    `accepting(state)` its acceptance.  States are numbered 0, 1, ... in the
+    breadth-first order of their discovery, letters in alphabet order, so
+    `start` is state 0.  The result is complete but not minimized."""
+    index = {start: 0}
+    states = [start]
+    delta = {a: [] for a in alphabet.letters}
+    for s in states:            # the list grows while it is read: a queue
+        for a, row in delta.items():
+            t = step(s, a)
+            i = index.get(t)
+            if i is None:
+                i = index[t] = len(states)
+                states.append(t)
+            row.append(i)
+    return Dfa(alphabet, len(states), 0,
+               [i for i, s in enumerate(states) if accepting(s)], delta)
 
 
 def _canonicalize(dfa: Dfa) -> Dfa:
-    """Moore minimization followed by BFS renumbering."""
-    reach = _reachable(dfa)
-    # Moore partition refinement on reachable states
-    cls = {q: (1 if q in dfa.accepting else 0) for q in reach}
-    nclasses = len(set(cls.values()))
+    """Moore minimization of the reachable part, renumbered breadth-first."""
+    delta = dfa.delta
+    reach = explore(dfa.alphabet, dfa.initial, lambda q, a: delta[a][q],
+                    dfa.accepting.__contains__)
+    rows = [reach.delta[a] for a in reach.alphabet.letters]
+    cls = [int(q in reach.accepting) for q in range(reach.n)]
+    count = len(set(cls))
     while True:
-        sig = {}
-        for q in reach:
-            sig[q] = (cls[q],) + tuple([cls[dfa.delta[a][q]] for a in dfa.alphabet])
         renum = {}
-        for q in reach:
-            renum.setdefault(sig[q], len(renum))
-        new_cls = {q: renum[sig[q]] for q in reach}
-        if len(renum) == nclasses:
-            cls = new_cls
+        cls = [renum.setdefault(sig, len(renum))
+               for sig in zip(cls, *[[cls[t] for t in row] for row in rows])]
+        if len(renum) == count:
             break
-        nclasses = len(renum)
-        cls = new_cls
-    # representative per class
-    rep_delta = {}
-    rep_accept = set()
-    for q in reach:
-        c = cls[q]
-        if c not in rep_delta:
-            rep_delta[c] = {a: cls[dfa.delta[a][q]] for a in dfa.alphabet}
-            if q in dfa.accepting:
-                rep_accept.add(c)
-    # BFS renumber from the initial class
-    order = {}
-    queue = deque([cls[dfa.initial]])
-    order[cls[dfa.initial]] = 0
-    while queue:
-        c = queue.popleft()
-        for a in dfa.alphabet:
-            c2 = rep_delta[c][a]
-            if c2 not in order:
-                order[c2] = len(order)
-                queue.append(c2)
-    n = len(order)
-    delta = {a: [0] * n for a in dfa.alphabet}
-    for c, i in order.items():
-        for a in dfa.alphabet:
-            delta[a][i] = order[rep_delta[c][a]]
-    accepting = frozenset(order[c] for c in rep_accept if c in order)
-    return Dfa(dfa.alphabet, n, 0, accepting, delta)
+        count = len(renum)
+    if count == reach.n:        # already minimal, and numbered as required
+        return reach
+    # one state per class, the first in the numbering, stands for it
+    first = {}
+    for q, c in enumerate(cls):
+        first.setdefault(c, q)
+    least = [first[c] for c in cls]
+    return explore(reach.alphabet, 0, lambda q, a: least[reach.delta[a][q]],
+                   reach.accepting.__contains__)
 
 
 # ---------------------------------------------------------------------------
@@ -238,121 +207,59 @@ def complement(dfa: Dfa) -> Dfa:
     return Dfa(dfa.alphabet, dfa.n, dfa.initial, acc, dfa.delta).canonical()
 
 
-def product(op, x: Dfa, y: Dfa) -> Dfa:
-    """Boolean product; op('and'|'or') combines acceptance."""
-    if x.alphabet != y.alphabet:
-        raise ValueError("alphabet mismatch")
-    idx = {}
-    queue = deque()
-    start = (x.initial, y.initial)
-    idx[start] = 0
-    queue.append(start)
-    delta = {a: [] for a in x.alphabet}
-    accepting = set()
-    states = [start]
-    while queue:
-        p, q = queue.popleft()
-        i = idx[(p, q)]
-        if (op == "and" and p in x.accepting and q in y.accepting) or \
-           (op == "or" and (p in x.accepting or q in y.accepting)):
-            accepting.add(i)
-        for a in x.alphabet:
-            nxt = (x.delta[a][p], y.delta[a][q])
-            if nxt not in idx:
-                idx[nxt] = len(idx)
-                states.append(nxt)
-                queue.append(nxt)
-            delta[a].append(idx[nxt])
-    # delta rows were appended in BFS order of source states
-    dd = {a: tuple(delta[a]) for a in x.alphabet}
-    return Dfa(x.alphabet, len(states), 0, accepting, dd).canonical()
+def product(x: Dfa, y: Dfa, accept) -> Dfa:
+    """The product automaton; a pair of states accepts where
+    accept(p accepting in x, q accepting in y) holds."""
+    _same_alphabet(x, y)
+    xd, yd = x.delta, y.delta
+    return explore(x.alphabet, (x.initial, y.initial),
+                   lambda s, a: (xd[a][s[0]], yd[a][s[1]]),
+                   lambda s: accept(s[0] in x.accepting, s[1] in y.accepting)).canonical()
 
 
 def intersect(x: Dfa, y: Dfa) -> Dfa:
-    return product("and", x, y)
+    return product(x, y, operator.and_)
 
 
 def union(x: Dfa, y: Dfa) -> Dfa:
-    return product("or", x, y)
+    return product(x, y, operator.or_)
 
 
-# NFA-based constructions (concatenation, star) ------------------------------
+def _same_alphabet(x: Dfa, y: Dfa):
+    if x.alphabet != y.alphabet:
+        raise ValueError("alphabet mismatch")
 
 
-def _determinize(alphabet: Alphabet, initial_set, final_test, move):
-    """Subset construction.  `move(S, a)` yields the successor set,
-    `final_test(S)` the acceptance of a subset."""
-    start = frozenset(initial_set)
-    idx = {start: 0}
-    queue = deque([start])
-    order = [start]
-    delta = {a: [] for a in alphabet}
-    accepting = set()
-    while queue:
-        s = queue.popleft()
-        i = idx[s]
-        if final_test(s):
-            accepting.add(i)
-        for a in alphabet:
-            t = frozenset(move(s, a))
-            if t not in idx:
-                idx[t] = len(idx)
-                order.append(t)
-                queue.append(t)
-            delta[a].append(idx[t])
-    dd = {a: tuple(delta[a]) for a in alphabet}
-    return Dfa(alphabet, len(order), 0, accepting, dd).canonical()
+# subset constructions (concatenation, star) ---------------------------------
 
 
 def concat(x: Dfa, y: Dfa) -> Dfa:
-    if x.alphabet != y.alphabet:
-        raise ValueError("alphabet mismatch")
-    al = x.alphabet
-    # NFA states: ('x', q) and ('y', q); epsilon jump when q accepting in x
-    def close(states):
-        out = set(states)
-        for tag, q in list(states):
-            if tag == "x" and q in x.accepting:
-                out.add(("y", y.initial))
-        return out
+    """States (p, S): x is in state p, and the copies of y started after
+    each prefix that x accepts are in the states S."""
+    _same_alphabet(x, y)
 
-    def move(s, a):
-        out = set()
-        for tag, q in s:
-            if tag == "x":
-                out.add(("x", x.delta[a][q]))
-            else:
-                out.add(("y", y.delta[a][q]))
-        return close(out)
+    def enter(p, states):
+        return states | {y.initial} if p in x.accepting else states
 
-    def final(s):
-        return any(tag == "y" and q in y.accepting for tag, q in s)
+    def step(s, a):
+        p, states = s
+        p, row = x.delta[a][p], y.delta[a]
+        return p, enter(p, frozenset([row[q] for q in states]))
 
-    return _determinize(al, close({("x", x.initial)}), final, move)
+    return explore(x.alphabet, (x.initial, enter(x.initial, frozenset())), step,
+                   lambda s: not y.accepting.isdisjoint(s[1])).canonical()
 
 
 def star(x: Dfa) -> Dfa:
-    al = x.alphabet
-    # NFA for x*: fresh accepting start with epsilon to x's initial;
-    # from accepting states epsilon back to x's initial.
-    def close(states):
-        out = set(states)
-        if any(q in x.accepting for q in states if q != "start") or "start" in states:
-            out.add(x.initial)
-        return out
+    """States: None before the first letter, then the set of states of the
+    copies of x that are running; a copy restarts where one accepts."""
+    def step(states, a):
+        row = x.delta[a]
+        out = frozenset([row[q] for q in ((x.initial,) if states is None else states)])
+        return out | {x.initial} if not x.accepting.isdisjoint(out) else out
 
-    def move(s, a):
-        out = set()
-        for q in s:
-            if q == "start":
-                continue
-            out.add(x.delta[a][q])
-        return close(out)
-
-    def final(s):
-        return "start" in s or any(q in x.accepting for q in s if q != "start")
-
-    return _determinize(al, close({"start"}), final, move)
+    return explore(x.alphabet, None, step,
+                   lambda s: s is None or not x.accepting.isdisjoint(s)).canonical()
 
 
 def residual_language(dfa: Dfa, word) -> Dfa:
@@ -543,12 +450,10 @@ def parse_alphabet_header(text: str, error):
     '#' comment lines are dropped, is `alphabet = a b ...` (or `= ab...`).
     A missing or malformed declaration raises `error`."""
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.strip().startswith("#")]
-    if not lines or not lines[0].strip().startswith("alphabet"):
-        raise error("missing 'alphabet =' declaration")
-    decl = lines[0].split("=", 1)
-    if len(decl) != 2:
-        raise error("malformed alphabet declaration")
-    letters = decl[1].split()
+    keyword, eq, letters = (lines or [""])[0].partition("=")
+    if keyword.strip() != "alphabet" or not eq:
+        raise error("the first line must declare 'alphabet = ...'")
+    letters = letters.split()
     if len(letters) == 1 and len(letters[0]) > 1:
         letters = list(letters[0])
     return text_alphabet(letters, error), "\n".join(lines[1:])

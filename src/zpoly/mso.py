@@ -15,10 +15,9 @@ integer combination of Cauchy products of indicators.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 
 from . import lang
-from .cplc import Cplc, indicator_cplc, zero_cplc
+from .cplc import Cplc, indicator_cplc
 from .exact import QMat
 from .lang import Alphabet, Dfa
 from .series import LinRep
@@ -26,6 +25,10 @@ from .series import LinRep
 
 class MsoError(ValueError):
     pass
+
+
+# the most states an intermediate automaton of a formula may have
+STATE_CAP = 100000
 
 
 def is_so(name: str) -> bool:
@@ -160,25 +163,19 @@ def _atom_less(base: Alphabet, tracks, xi, yi) -> Dfa:
 
 def _project_track(dfa: Dfa, base: Alphabet, tracks, t_index) -> Dfa:
     """Existentially quantify a track: erase it, determinize the result."""
-    new_tracks = tracks[:t_index] + tracks[t_index + 1:]
-    al = tracked_alphabet(base, len(new_tracks))
+    al = tracked_alphabet(base, len(tracks) - 1)
+    rows = {(a, bits): [dfa.delta[(a, bits[:t_index] + (bit,) + bits[t_index:])]
+                        for bit in (0, 1)]
+            for (a, bits) in al}
 
-    def move(states, letter):
-        a, bits = letter
-        out = set()
-        for bit in (0, 1):
-            full = bits[:t_index] + (bit,) + bits[t_index:]
-            for q in states:
-                out.add(dfa.delta[(a, full)][q])
-        return out
+    def step(states, letter):
+        return frozenset([row[q] for row in rows[letter] for q in states])
 
-    def final(states):
-        return any(q in dfa.accepting for q in states)
-
-    return lang._determinize(al, {dfa.initial}, final, move)
+    return lang.explore(al, frozenset([dfa.initial]), step,
+                        lambda states: not dfa.accepting.isdisjoint(states)).canonical()
 
 
-def _compile(phi, base: Alphabet, state_cap: int):
+def _compile(phi, base: Alphabet):
     """Returns (dfa, tracks); tracks is the sorted tuple of free variables.
     Invariant: the language is contained in the well-marked words of its
     first-order tracks."""
@@ -209,23 +206,23 @@ def _compile(phi, base: Alphabet, state_cap: int):
             return _single_mark(base, tracks, (xi, yi), both), tracks
         return _single_mark(base, tracks, (xi,), lambda b, bits: bits[yi]), tracks
     if tag == "not":
-        sub, tracks = _compile(phi[1], base, state_cap)
+        sub, tracks = _compile(phi[1], base)
         comp = lang.complement(sub)
         out = lang.intersect(comp, _well_marked(base, tracks))
         return out, tracks
     if tag in ("and", "or"):
-        d1, t1 = _compile(phi[1], base, state_cap)
-        d2, t2 = _compile(phi[2], base, state_cap)
+        d1, t1 = _compile(phi[1], base)
+        d2, t2 = _compile(phi[2], base)
         tracks = tuple(sorted(set(t1) | set(t2)))
         d1 = _lift(d1, base, t1, tracks)
         d2 = _lift(d2, base, t2, tracks)
         out = lang.intersect(d1, d2) if tag == "and" else lang.union(d1, d2)
-        if out.n > state_cap:
+        if out.n > STATE_CAP:
             raise MsoError("state cap exceeded while compiling")
         return out, tracks
     if tag == "exists":
         v = phi[1]
-        sub, tracks = _compile(phi[2], base, state_cap)
+        sub, tracks = _compile(phi[2], base)
         if v not in tracks:
             # quantifying a variable that does not occur: a first-order
             # witness needs a position, so conjoin a fresh single-mark track
@@ -235,21 +232,20 @@ def _compile(phi, base: Alphabet, state_cap: int):
             sub = _lift(sub, base, tracks, tracks2)
             tracks = tracks2
         out = _project_track(sub, base, tracks, tracks.index(v))
-        if out.n > state_cap:
+        if out.n > STATE_CAP:
             raise MsoError("state cap exceeded while compiling")
         return out, tracks[:tracks.index(v)] + tracks[tracks.index(v) + 1:]
     raise MsoError("unknown node %r" % (tag,))
 
 
-def compile_marked_automaton(phi, variables, base: Alphabet,
-                             state_cap: int = 100000) -> Dfa:
+def compile_marked_automaton(phi, variables, base: Alphabet) -> Dfa:
     """The canonical DFA over A x {0,1}^k recognizing satisfying markings,
     with tracks in the declared variable order."""
     phi = rename_bound(phi)
     fv = free_vars(phi)
     if not fv <= set(variables):
         raise MsoError("free variables %r not declared" % (sorted(fv - set(variables)),))
-    dfa, tracks = _compile(phi, base, state_cap)
+    dfa, tracks = _compile(phi, base)
     return _lift(dfa, base, tracks, tuple(variables))
 
 
@@ -291,37 +287,18 @@ def count_sets_to_linrep(phi, variables, base: Alphabet) -> LinRep:
 def _min_split_language(marked: Dfa, base: Alphabet, k: int, pset, q: int) -> Dfa:
     """Words u (nonempty) such that running the marked automaton on u with
     the tracks in `pset` marked at the last position (and nothing else)
-    reaches state q."""
+    reaches state q.  States (p, r): the run with no marks is in p, the run
+    that marks the letter just read is in r (None before the first letter)."""
     chi = tuple(1 if i in pset else 0 for i in range(k))
     zero = (0,) * k
+    rows = {a: (marked.delta[(a, zero)], marked.delta[(a, chi)]) for a in base}
 
-    def stepz(p, a):
-        return marked.delta[(a, zero)][p]
+    def step(s, a):
+        unmarked, marking = rows[a]
+        return unmarked[s[0]], marking[s[0]]
 
-    def stepm(p, a):
-        return marked.delta[(a, chi)][p]
-
-    start = "start"
-    idx = {start: 0}
-    states = [start]
-    queue = deque([start])
-    delta = {a: [] for a in base}
-    while queue:
-        s = queue.popleft()
-        for a in base:
-            if s == "start":
-                nxt = (stepz(marked.initial, a), stepm(marked.initial, a))
-            else:
-                p, _r = s
-                nxt = (stepz(p, a), stepm(p, a))
-            if nxt not in idx:
-                idx[nxt] = len(idx)
-                states.append(nxt)
-                queue.append(nxt)
-            delta[a].append(idx[nxt])
-    accepting = [idx[s] for s in states if s != "start" and s[1] == q]
-    dd = {a: tuple(delta[a]) for a in base}
-    return Dfa(base, len(states), 0, accepting, dd).canonical()
+    return lang.explore(base, (marked.initial, None), step,
+                        lambda s: s[1] == q).canonical()
 
 
 def _restrict_tracks(marked: Dfa, base: Alphabet, k: int, pset, q: int) -> Dfa:
@@ -339,12 +316,15 @@ def _restrict_tracks(marked: Dfa, base: Alphabet, k: int, pset, q: int) -> Dfa:
 
 
 def _cplc_from_marked(marked: Dfa, base: Alphabet, k: int) -> Cplc:
+    """One term per split (the tracks marked at the least marked position,
+    the state q reached there) and per term of the suffix count from q,
+    collected first and normalized once."""
     if k == 0:
         plain_delta = {a: marked.delta[(a, ())] for a in base}
         plain = Dfa(base, marked.n, marked.initial, marked.accepting,
                     plain_delta).canonical()
         return indicator_cplc(plain)
-    result = zero_cplc(base)
+    terms = []
     for size in range(1, k + 1):
         for pset in itertools.combinations(range(k), size):
             pset = frozenset(pset)
@@ -353,11 +333,9 @@ def _cplc_from_marked(marked: Dfa, base: Alphabet, k: int) -> Cplc:
                 if prefix.is_empty_language():
                     continue
                 suffix = _restrict_tracks(marked, base, k, pset, q)
-                inner = _cplc_from_marked(suffix, base, k - size)
-                if inner.is_zero_syntactic():
-                    continue
-                result = result.add(indicator_cplc(prefix).cauchy(inner))
-    return result
+                terms.extend((coef, (prefix,) + fs)
+                             for coef, fs in _cplc_from_marked(suffix, base, k - size).terms)
+    return Cplc(base, terms)
 
 
 def count_to_cplc(phi, variables, base: Alphabet) -> Cplc:

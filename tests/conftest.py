@@ -15,10 +15,10 @@ from fractions import Fraction
 import pytest
 
 from zpoly.exact import QMat, UPoly
-from zpoly.lang import (Alphabet, RegexError, compile_regex, parse_alphabet_header,
+from zpoly.lang import (Alphabet, Dfa, RegexError, compile_regex, parse_alphabet_header,
                         universal_language)
-from zpoly.cplc import ExprError, indicator_cplc, constant_cplc
-from zpoly.mso import MsoError, is_so
+from zpoly.cplc import Cplc, ExprError, indicator_cplc, constant_cplc, zero_cplc
+from zpoly.mso import MsoError, is_so, tracked_alphabet
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +231,110 @@ def count_valuations(phi, variables, word) -> int:
               for v in variables]
     return sum(holds(phi, word, dict(zip(variables, combo)))
                for combo in itertools.product(*spaces))
+
+
+# ---------------------------------------------------------------------------
+# automaton constructions as they were before `lang.explore`: each numbers
+# its own states, over NFA states tagged differently from the library's
+
+
+def determinize(alphabet, start, move, final) -> Dfa:
+    """Subset construction, not minimized: `move(S, a)` is the successor
+    set of S, `final(S)` its acceptance."""
+    order = [frozenset(start)]
+    index = {order[0]: 0}
+    delta = {a: [] for a in alphabet}
+    for s in order:
+        for a in alphabet:
+            t = frozenset(move(s, a))
+            if t not in index:
+                index[t] = len(order)
+                order.append(t)
+            delta[a].append(index[t])
+    return Dfa(alphabet, len(order), 0, [i for i, s in enumerate(order) if final(s)], delta)
+
+
+def concat_by_subsets(x, y) -> Dfa:
+    """x·y from the NFA on states ('x', p) and ('y', q), with an epsilon
+    move from each accepting ('x', p) to ('y', initial)."""
+    def close(states):
+        jump = any(tag == "x" and q in x.accepting for tag, q in states)
+        return set(states) | ({("y", y.initial)} if jump else set())
+
+    def move(s, a):
+        return close({(tag, (x if tag == "x" else y).delta[a][q]) for tag, q in s})
+
+    return determinize(x.alphabet, close({("x", x.initial)}), move,
+                       lambda s: any(tag == "y" and q in y.accepting for tag, q in s))
+
+
+def star_by_subsets(x) -> Dfa:
+    """x* from the NFA with a fresh accepting state 'start' and epsilon
+    moves from it and from each accepting state to x's initial state."""
+    def close(states):
+        restart = "start" in states or any(q in x.accepting for q in states)
+        return set(states) | ({x.initial} if restart else set())
+
+    def move(s, a):
+        return close({x.delta[a][q] for q in s if q != "start"})
+
+    return determinize(x.alphabet, close({"start"}), move,
+                       lambda s: "start" in s or any(q in x.accepting for q in s))
+
+
+def _min_split_language(marked, base, k, pset, q) -> Dfa:
+    """Nonempty words u on which the marked automaton, with the tracks in
+    `pset` marked at the last letter of u only, reaches q."""
+    chi = tuple(1 if i in pset else 0 for i in range(k))
+    zero = (0,) * k
+    idx = {"start": 0}
+    states = ["start"]
+    delta = {a: [] for a in base}
+    for s in states:
+        p = marked.initial if s == "start" else s[0]
+        for a in base:
+            nxt = (marked.delta[(a, zero)][p], marked.delta[(a, chi)][p])
+            if nxt not in idx:
+                idx[nxt] = len(idx)
+                states.append(nxt)
+            delta[a].append(idx[nxt])
+    accepting = [idx[s] for s in states if s != "start" and s[1] == q]
+    return Dfa(base, len(states), 0, accepting, delta).canonical()
+
+
+def _restrict_tracks(marked, base, k, pset, q) -> Dfa:
+    """The marked automaton from q, with the tracks in pset forced to 0."""
+    keep = [i for i in range(k) if i not in pset]
+    delta = {}
+    for (a, bits) in tracked_alphabet(base, len(keep)):
+        full = [0] * k
+        for i, b in zip(keep, bits):
+            full[i] = b
+        delta[(a, bits)] = marked.delta[(a, tuple(full))]
+    return Dfa(tracked_alphabet(base, len(keep)), marked.n, q, marked.accepting,
+               delta).canonical()
+
+
+def cplc_from_marked(marked, base, k) -> Cplc:
+    """#phi from its marked automaton by splitting on the variables at the
+    least marked position, summed one `Cplc.add` at a time."""
+    if k == 0:
+        plain = Dfa(base, marked.n, marked.initial, marked.accepting,
+                    {a: marked.delta[(a, ())] for a in base})
+        return indicator_cplc(plain)
+    result = zero_cplc(base)
+    for size in range(1, k + 1):
+        for pset in itertools.combinations(range(k), size):
+            pset = frozenset(pset)
+            for q in range(marked.n):
+                prefix = _min_split_language(marked, base, k, pset, q)
+                if prefix.is_empty_language():
+                    continue
+                inner = cplc_from_marked(_restrict_tracks(marked, base, k, pset, q),
+                                         base, k - size)
+                if not inner.is_zero_syntactic():
+                    result = result.add(indicator_cplc(prefix).cauchy(inner))
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ Every name a module imports is used in that module, and every module-level
 function and class, and every method, defined in src/zpoly is named
 somewhere in src/, tests/ or bench/ (dunder methods are called by the
 language and are exempt; `__init__.py` re-exports through `__all__`).
+No module reads a `_`-prefixed name of another module of the package.
 """
 
 import ast
@@ -90,3 +91,28 @@ def test_every_definition_is_named_somewhere():
             for qualified, name in definitions(parse(path))
             if name not in named and not (name.startswith("__") and name.endswith("__"))]
     assert not dead, "defined in src/zpoly but named nowhere: %s" % ", ".join(dead)
+
+
+def is_private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_reads_a_private_name_of_another(path):
+    """`from .m import _x` and `m._x`, where `m` is bound to a module of
+    the package by `from . import m`, are both reads of a private name."""
+    tree = parse(path)
+    siblings = {p.stem for p in MODULES}
+    modules, private = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for alias in node.names:
+                if node.module is None and alias.name in siblings:
+                    modules.add(alias.asname or alias.name)
+                elif is_private(alias.name):
+                    private.append("%s.%s (line %d)" % (node.module, alias.name, node.lineno))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and is_private(node.attr)):
+            private.append("%s.%s (line %d)" % (node.value.id, node.attr, node.lineno))
+    assert not private, "%s reads private names: %s" % (path.name, ", ".join(private))

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import regex_matches, words_up_to
+from conftest import concat_by_subsets, regex_matches, star_by_subsets, words_up_to
 from zpoly.lang import (Alphabet, Dfa, FiniteMonoid, MonoidMorphism,
                         RegexError, compile_regex, complement, concat,
-                        dfa_from_json, dfa_to_json, intersect,
+                        dfa_from_json, dfa_to_json, epsilon_language, intersect,
                         monoid_from_generators, parse_regex,
                         residual_language, star,
                         transition_monoid, union)
@@ -40,10 +40,12 @@ def test_regex_basic_semantics():
         assert lang_set(dfa) == want, text
 
 
+REGEXES = st.sampled_from(["a", "b", "ab", "a|b", "a*b", "(ab)*", "!(a*)",
+                          "a*&(a|b)*b", "(a|ba)*", "!(∅)", "()a*"])
+
+
 @settings(max_examples=80, deadline=None)
-@given(st.sampled_from(["a", "b", "ab", "a|b", "a*b", "(ab)*", "!(a*)",
-                        "a*&(a|b)*b", "(a|ba)*", "!(∅)", "()a*"]),
-       st.lists(st.sampled_from(["a", "b"]), max_size=6))
+@given(REGEXES, st.lists(st.sampled_from(["a", "b"]), max_size=6))
 def test_regex_dfa_matches_reference_matcher(text, letters):
     node = parse_regex(text, AB)
     dfa = compile_regex(text, AB)
@@ -93,18 +95,58 @@ def test_canonical_is_minimal():
     assert d2.n == 3  # start, accepted-forever, rejected-forever
 
 
+# the canonical key depends only on the language: each pair of DFAs below is
+# built two ways and must come out structurally equal
+
+
+@settings(max_examples=100, deadline=None)
+@given(REGEXES, REGEXES)
+def test_union_key_is_the_de_morgan_key(r, s):
+    x, y = compile_regex(r, AB), compile_regex(s, AB)
+    assert union(x, y).key() == complement(intersect(complement(x), complement(y))).key()
+
+
+@settings(max_examples=100, deadline=None)
+@given(REGEXES, REGEXES, REGEXES)
+def test_concat_key_is_built_two_ways(r, s, t):
+    x, y, z = compile_regex(r, AB), compile_regex(s, AB), compile_regex(t, AB)
+    assert concat(x, y).key() == concat_by_subsets(x, y).canonical().key()
+    assert concat(union(x, z), y).key() == union(concat(x, y), concat(z, y)).key()
+
+
+@settings(max_examples=100, deadline=None)
+@given(REGEXES)
+def test_star_key_is_built_two_ways(r):
+    x = compile_regex(r, AB)
+    assert star(x).key() == star_by_subsets(x).canonical().key()
+    assert star(x).key() == union(epsilon_language(AB), concat(x, star(x))).key()
+
+
+@settings(max_examples=100, deadline=None)
+@given(REGEXES, st.randoms(use_true_random=False))
+def test_canonical_key_ignores_numbering_and_unreachable_states(r, rng):
+    """A copy of the canonical DFA with its states shuffled, next to an
+    unreachable copy of its complement, canonicalizes back to it."""
+    d = compile_regex(r, AB)
+    n = d.n
+    perm = list(range(2 * n))
+    rng.shuffle(perm)
+    delta = {a: [0] * (2 * n) for a in AB}
+    for copy in (0, n):
+        for q in range(n):
+            for a in AB:
+                delta[a][perm[copy + q]] = perm[copy + d.delta[a][q]]
+    accepting = [perm[q] for q in d.accepting] + [perm[n + q] for q in range(n)
+                                                  if q not in d.accepting]
+    shuffled = Dfa(AB, 2 * n, perm[d.initial], accepting, delta)
+    assert shuffled.canonical().key() == d.key()
+
+
 def test_residual_language():
     x = compile_regex("a(a|b)*b", AB)
     r = residual_language(x, ("a",))
     for w in words_up_to(["a", "b"], 5):
         assert r.accepts(w) == x.accepts(("a",) + w)
-
-
-def test_some_accepted_word():
-    x = compile_regex("ab|ba", AB)
-    w = x.some_accepted_word()
-    assert x.accepts(w)
-    assert compile_regex("∅", AB).some_accepted_word() is None
 
 
 def test_dfa_json_round_trip():

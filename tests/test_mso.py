@@ -1,13 +1,22 @@
 """Counting logic: parsing, compilation to marked automata, and the two
 compilation targets (linear representations and Cauchy combinations)."""
 
+import os
+import random
+import sys
+
 import pytest
 
-from conftest import count_valuations, holds, words_up_to
+from conftest import count_valuations, cplc_from_marked, holds, words_up_to
+from zpoly import mso
+from zpoly.cli import main
 from zpoly.lang import Alphabet
 from zpoly.mso import (MsoError, compile_marked_automaton, count_sets_to_linrep,
                        count_to_cplc, count_to_linrep, free_vars, is_so,
                        parse_count)
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
+import workloads  # noqa: E402  (the benchmark's chain formulas)
 
 AB = Alphabet(["a", "b"])
 A1 = Alphabet(["a"])
@@ -156,3 +165,27 @@ def test_parse_errors():
         with pytest.raises((MsoError, ValueError)):
             alphabet, variables, phi = parse(bad)
             count_to_cplc(phi, variables, alphabet)
+
+
+@pytest.mark.parametrize("letters", [["a", "b"], ["a", "b", "c"]], ids="".join)
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_count_to_cplc_matches_the_split_oracle(letters, k):
+    """Term for term, the Cauchy combination that conftest's split oracle
+    sums one `Cplc.add` at a time, on six seeded chain formulas each."""
+    for seed in range(6):
+        names, phi = workloads.chain_formula(random.Random(seed), letters, k)
+        alphabet, variables, phi = parse(workloads.zmso(letters, names, phi))
+        marked = compile_marked_automaton(phi, variables, alphabet)
+        assert count_to_cplc(phi, variables, alphabet) == cplc_from_marked(marked, alphabet, k)
+
+
+@pytest.mark.parametrize("text", [PHI_AB, "alphabet = a b\ncount[] exists x. a(x)\n"],
+                         ids=["refused-at-and", "refused-at-exists"])
+def test_state_cap_refuses_large_automata(text, monkeypatch, tmp_path):
+    monkeypatch.setattr(mso, "STATE_CAP", 1)
+    alphabet, variables, phi = parse(text)
+    with pytest.raises(MsoError, match="state cap exceeded"):
+        count_to_linrep(phi, variables, alphabet)
+    path = tmp_path / "f.zmso"
+    path.write_text(text)
+    assert main(["eval", str(path), "ab"]) == 3

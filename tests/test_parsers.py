@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import oracle_parse_count, oracle_parse_expression, oracle_parse_regex
+from zpoly.cli import main
 from zpoly.cplc import ExprError, parse_expression
 from zpoly.lang import Alphabet, RegexError, Scanner, parse_regex
 from zpoly.mso import MsoError, parse_count
@@ -138,6 +139,18 @@ def test_duplicate_alphabet_letters_are_syntax_errors():
         parse_expression("alphabet = a a\n1")
     with pytest.raises(MsoError, match="duplicate"):
         parse_count("alphabet = aba\ncount[x] a(x)\n")
+
+
+@pytest.mark.parametrize("header", ["", "alphabet a b", "alphabet: a b", "alphabets = a b",
+                                    "alphabet2 = a b", "letters = a b"])
+@pytest.mark.parametrize("suffix, body", [(".zexpr", "ind(a)"), (".zmso", "count[x] a(x)")],
+                         ids=["zexpr", "zmso"])
+def test_malformed_alphabet_header_exits_3(tmp_path, capsys, header, suffix, body):
+    """The first line must be the keyword `alphabet`, then `=`."""
+    path = tmp_path / ("f" + suffix)
+    path.write_text(header + "\n" + body + "\n")
+    assert main(["eval", str(path), "ab"]) == 3
+    assert "alphabet" in capsys.readouterr().err
 
 
 def test_scanner_keywords_and_chains():
