@@ -25,9 +25,11 @@ feasible only for tiny monoids.
 An `Analysis` of f holds what every search about f reads: its minimal
 representation (I, mu, F), its product monoid (built on first use), one
 memoized pattern stream per pump count and one table of matrix powers of
-mu.  It lives for one question, such as `canon.residual_transducer(f, k)`,
-whose merges each search a difference h of two residuals of f, at the row
-vector of h in f's representation (`Analysis.at`).  Those searches read
+mu and of fits.  A fit is keyed on the matrices of its family, not on the
+words (see `_Family`), so each distinct family is fitted once per question.
+An analysis lives for one question, such as `canon.residual_transducer(f,
+k)`, whose merges each search a difference h of two residuals of f, at the
+row vector of h in f's representation (`Analysis.at`).  Those searches read
 f's monoid and patterns instead of h's: every factor DFA of h is a factor
 of f or a residual of one, so h's product monoid is a quotient of f's
 (the argument is in the `canon` docstring).  An f-idempotent pump is
@@ -93,11 +95,16 @@ class _Family:
     """Values of one representation on pumping families, exact and in
     Python ints wherever the representation's entries are integral.
 
-    `powers` maps (word, exponent) to the pair (mu(word)^exponent, its
-    transpose); a row vector steps as transpose.matvec.  The table serves
-    every pattern of a growth_degree call and, through `Analysis.at`, every
-    row vector of the representation, so pump words shared between patterns
-    and searches are powered once.
+    `powers` is the table of one question.  It maps (word, exponent) to the
+    pair (mu(word)^exponent, its transpose), a row vector stepping as
+    transpose.matvec, and it keeps every fit.  A fit is a function of the
+    family's matrices, not of its words: of I mu(alpha_0), of
+    mu(alpha_l) F, and of the pumps mu(w_i) and inner connectors
+    mu(alpha_i).  So `fit` keys it on k, scale, I mu(alpha_0) and the ids
+    (`ident`) of the others, and a fit read back is the very fit that would
+    be computed: same x0, same coefficients.  Through `Analysis.at` the
+    table serves every row vector of the representation, so each distinct
+    family is powered and fitted once per question.
     """
 
     def __init__(self, rep: series.LinRep, powers: dict | None = None):
@@ -112,6 +119,16 @@ class _Family:
             else:
                 m = self.matrix(word)[0].power(e)
             self.powers[key] = (m, m.transpose())
+        return self.powers[key]
+
+    def ident(self, word, last=False):
+        """An id of mu(word), or of mu(word) F if `last`: the first word seen
+        with an equal value, so that a key hashes words, not d^2 entries."""
+        key = ("id", last, word)
+        if key not in self.powers:
+            m = self.matrix(word)[0]
+            value = m.matvec(self.rep.F) if last else m.rows
+            self.powers[key] = self.powers.setdefault(("value", last, value), word)
         return self.powers[key]
 
     def grid_values(self, pattern: PumpingPattern, start: int, d: int, scale: int):
@@ -161,14 +178,23 @@ class _Family:
         """(x0, Newton coefficients) of the family on {x0 .. x0+k}^l.
 
         x0 starts at 2(k+1); the fit is checked on the disjoint shifted grid
-        {x0+k+1 .. x0+2k+1}^l, and x0 is doubled once on failure.
+        {x0+k+1 .. x0+2k+1}^l, and x0 is doubled once on failure.  A fit is
+        kept in `powers` under its family's key; a failure is not.
         """
+        u = self.rep.I
+        if pattern.alphas[0]:
+            u = self.matrix(pattern.alphas[0])[1].matvec(u)
+        key = (k, scale, u, self.ident(pattern.alphas[-1], True),
+               *map(self.ident, (*pattern.pumps, *pattern.alphas[1:-1])))
+        if key in self.powers:
+            return self.powers[key]
         ell = pattern.size
         x0 = 2 * (k + 1)
         for _attempt in range(2):
             coeffs = newton_coefficients(self.grid_values(pattern, x0, k, scale), ell, k)
             if (newton_values(coeffs, ell, k, range(k + 1, 2 * k + 2))
                     == self.grid_values(pattern, x0 + k + 1, k, scale)):
+                self.powers[key] = x0, coeffs
                 return x0, coeffs
             x0 *= 2
         raise PatternVerificationError(
@@ -330,8 +356,8 @@ class Analysis:
     """What the growth searches of one question read about f, as the module
     docstring describes: `family` evaluates a minimal representation of f
     (or, after `at`, of a row vector in it) and `patterns` streams f's
-    patterns under f's budget.  The analysis keeps every pattern and matrix
-    power read so far: drop it with its question."""
+    patterns under f's budget.  The analysis keeps every pattern, matrix
+    power and fit read so far: drop it with its question."""
 
     family: _Family
     patterns: _Patterns
@@ -351,7 +377,7 @@ class Analysis:
 
     def at(self, I) -> "Analysis":
         """The analysis of the series of row vector I in f's representation;
-        it shares f's patterns (and monoid) and f's table of matrix powers."""
+        it shares f's patterns (and monoid) and f's table of powers and fits."""
         rep = self.rep
         return Analysis(_Family(series.LinRep(rep.alphabet, I, rep.mats, rep.F),
                                 self.family.powers),

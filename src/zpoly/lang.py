@@ -59,7 +59,8 @@ class Dfa:
     state).  Use `Dfa.canonical` to obtain the minimal BFS-numbered form.
     """
 
-    __slots__ = ("alphabet", "n", "initial", "accepting", "delta", "_key", "_canonical")
+    __slots__ = ("alphabet", "n", "initial", "accepting", "delta", "_key", "_canonical",
+                 "_explored")
 
     def __init__(self, alphabet: Alphabet, n: int, initial: int,
                  accepting, delta):
@@ -73,6 +74,7 @@ class Dfa:
                 raise ValueError("incomplete transition table")
         self._key = None
         self._canonical = False   # True once known to be in canonical form
+        self._explored = False    # True once known to be numbered as `explore` numbers
 
     # -- structural identity -------------------------------------------------
 
@@ -137,7 +139,8 @@ def explore(alphabet: Alphabet, start, step, accepting) -> Dfa:
     hashable values; `step(state, letter)` is the successor of a state and
     `accepting(state)` its acceptance.  States are numbered 0, 1, ... in the
     breadth-first order of their discovery, letters in alphabet order, so
-    `start` is state 0.  The result is complete but not minimized."""
+    `start` is state 0, and `accepting` is called once per state in this
+    order.  The result is complete but not minimized."""
     index = {start: 0}
     states = [start]
     delta = {a: [] for a in alphabet.letters}
@@ -149,15 +152,17 @@ def explore(alphabet: Alphabet, start, step, accepting) -> Dfa:
                 i = index[t] = len(states)
                 states.append(t)
             row.append(i)
-    return Dfa(alphabet, len(states), 0,
-               [i for i, s in enumerate(states) if accepting(s)], delta)
+    dfa = Dfa(alphabet, len(states), 0, [i for i, s in enumerate(states) if accepting(s)], delta)
+    dfa._explored = True
+    return dfa
 
 
 def _canonicalize(dfa: Dfa) -> Dfa:
-    """Moore minimization of the reachable part, renumbered breadth-first."""
+    """Moore minimization of the reachable part, renumbered breadth-first
+    (an automaton `explore` has built is that part already)."""
     delta = dfa.delta
-    reach = explore(dfa.alphabet, dfa.initial, lambda q, a: delta[a][q],
-                    dfa.accepting.__contains__)
+    reach = dfa if dfa._explored else explore(
+        dfa.alphabet, dfa.initial, lambda q, a: delta[a][q], dfa.accepting.__contains__)
     rows = [reach.delta[a] for a in reach.alphabet.letters]
     cls = [int(q in reach.accepting) for q in range(reach.n)]
     count = len(set(cls))
@@ -202,9 +207,15 @@ def letter_language(alphabet: Alphabet, letter) -> Dfa:
     return Dfa(alphabet, 3, 0, (1,), delta).canonical()
 
 
+def with_accepting(dfa: Dfa, accepting) -> Dfa:
+    """The canonical DFA of dfa's transitions with other accepting states."""
+    out = Dfa(dfa.alphabet, dfa.n, dfa.initial, accepting, dfa.delta)
+    out._explored = dfa._explored
+    return out.canonical()
+
+
 def complement(dfa: Dfa) -> Dfa:
-    acc = frozenset(range(dfa.n)) - dfa.accepting
-    return Dfa(dfa.alphabet, dfa.n, dfa.initial, acc, dfa.delta).canonical()
+    return with_accepting(dfa, frozenset(range(dfa.n)) - dfa.accepting)
 
 
 def product(x: Dfa, y: Dfa, accept) -> Dfa:

@@ -284,11 +284,12 @@ def count_sets_to_linrep(phi, variables, base: Alphabet) -> LinRep:
     return count_to_linrep(phi, variables, base)
 
 
-def _min_split_language(marked: Dfa, base: Alphabet, k: int, pset, q: int) -> Dfa:
-    """Words u (nonempty) such that running the marked automaton on u with
-    the tracks in `pset` marked at the last position (and nothing else)
-    reaches state q.  States (p, r): the run with no marks is in p, the run
-    that marks the letter just read is in r (None before the first letter)."""
+def _min_split_languages(marked: Dfa, base: Alphabet, k: int, pset) -> dict:
+    """For each state q: the words u (nonempty) such that running the marked
+    automaton on u with the tracks in `pset` marked at the last position
+    (and nothing else) reaches q, where any does.  States (p, r): the run
+    with no marks is in p, the run that marks the letter just read is in r
+    (None before the first letter); one exploration serves every q."""
     chi = tuple(1 if i in pset else 0 for i in range(k))
     zero = (0,) * k
     rows = {a: (marked.delta[(a, zero)], marked.delta[(a, chi)]) for a in base}
@@ -297,8 +298,10 @@ def _min_split_language(marked: Dfa, base: Alphabet, k: int, pset, q: int) -> Df
         unmarked, marking = rows[a]
         return unmarked[s[0]], marking[s[0]]
 
-    return lang.explore(base, (marked.initial, None), step,
-                        lambda s: s[1] == q).canonical()
+    marks = []   # r of each state, in the numbering
+    pairs = lang.explore(base, (marked.initial, None), step, lambda s: marks.append(s[1]))
+    return {q: lang.with_accepting(pairs, [i for i, r in enumerate(marks) if r == q])
+            for q in sorted(set(marks) - {None})}
 
 
 def _restrict_tracks(marked: Dfa, base: Alphabet, k: int, pset, q: int) -> Dfa:
@@ -328,10 +331,7 @@ def _cplc_from_marked(marked: Dfa, base: Alphabet, k: int) -> Cplc:
     for size in range(1, k + 1):
         for pset in itertools.combinations(range(k), size):
             pset = frozenset(pset)
-            for q in range(marked.n):
-                prefix = _min_split_language(marked, base, k, pset, q)
-                if prefix.is_empty_language():
-                    continue
+            for q, prefix in _min_split_languages(marked, base, k, pset).items():
                 suffix = _restrict_tracks(marked, base, k, pset, q)
                 terms.extend((coef, (prefix,) + fs)
                              for coef, fs in _cplc_from_marked(suffix, base, k - size).terms)

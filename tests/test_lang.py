@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import concat_by_subsets, regex_matches, star_by_subsets, words_up_to
+from zpoly import lang
 from zpoly.lang import (Alphabet, Dfa, FiniteMonoid, MonoidMorphism,
                         RegexError, compile_regex, complement, concat,
                         dfa_from_json, dfa_to_json, epsilon_language, intersect,
@@ -140,6 +141,34 @@ def test_canonical_key_ignores_numbering_and_unreachable_states(r, rng):
                                                   if q not in d.accepting]
     shuffled = Dfa(AB, 2 * n, perm[d.initial], accepting, delta)
     assert shuffled.canonical().key() == d.key()
+
+
+def explored(monkeypatch):
+    """The automata `lang.explore` builds from now on, in order."""
+    built = []
+    real = lang.explore
+
+    def recording(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    monkeypatch.setattr(lang, "explore", recording)
+    return built
+
+
+@settings(max_examples=100, deadline=None)
+@given(REGEXES, REGEXES)
+def test_an_explored_automaton_is_not_explored_again(r, s):
+    """Canonicalizing what `explore` has just built skips the reachability
+    pass: a product is explored once, and once more only to merge states;
+    the complement of a canonical DFA is canonical as it stands."""
+    x, y = compile_regex(r, AB), compile_regex(s, AB)
+    with pytest.MonkeyPatch.context() as m:
+        built = explored(m)
+        product = intersect(x, y)
+        assert len(built) == (1 if built[0].n == product.n else 2)
+        del built[:]
+        assert complement(x).n == x.n and built == []
 
 
 def test_residual_language():

@@ -4,11 +4,12 @@ compilation targets (linear representations and Cauchy combinations)."""
 import os
 import random
 import sys
+from collections import Counter
 
 import pytest
 
 from conftest import count_valuations, cplc_from_marked, holds, words_up_to
-from zpoly import mso
+from zpoly import lang, mso
 from zpoly.cli import main
 from zpoly.lang import Alphabet
 from zpoly.mso import (MsoError, compile_marked_automaton, count_sets_to_linrep,
@@ -177,6 +178,40 @@ def test_count_to_cplc_matches_the_split_oracle(letters, k):
         alphabet, variables, phi = parse(workloads.zmso(letters, names, phi))
         marked = compile_marked_automaton(phi, variables, alphabet)
         assert count_to_cplc(phi, variables, alphabet) == cplc_from_marked(marked, alphabet, k)
+
+
+def test_split_languages_explore_once_per_track_set(monkeypatch):
+    """On the 48 chain formulas, `_min_split_languages` runs once per track
+    set of each `_cplc_from_marked` call and explores the pair automaton
+    once, reading the accepting pairs of every state q from it (the split
+    oracle explores once per q: 4873 times, 2137 of them for nothing;
+    here it is 2616 times)."""
+    calls = Counter()
+    real_cplc, real_split, real_explore = (mso._cplc_from_marked, mso._min_split_languages,
+                                           lang.explore)
+
+    def cplc_from_marked(marked, base, k):
+        calls["track sets"] += 2 ** k - 1
+        return real_cplc(marked, base, k)
+
+    def split(*args):
+        calls["splits"] += 1
+        return real_split(*args)
+
+    def explore(*args):   # counted when called by _min_split_languages itself
+        calls["explorations"] += sys._getframe(1).f_code is real_split.__code__
+        return real_explore(*args)
+
+    monkeypatch.setattr(mso, "_cplc_from_marked", cplc_from_marked)
+    monkeypatch.setattr(mso, "_min_split_languages", split)
+    monkeypatch.setattr(lang, "explore", explore)
+    for letters in (["a", "b"], ["a", "b", "c"]):
+        for k in range(1, 5):
+            for seed in range(6):
+                names, phi = workloads.chain_formula(random.Random(seed), letters, k)
+                alphabet, variables, phi = parse(workloads.zmso(letters, names, phi))
+                count_to_cplc(phi, variables, alphabet)
+    assert calls["explorations"] == calls["splits"] == calls["track sets"] > 0
 
 
 @pytest.mark.parametrize("text", [PHI_AB, "alphabet = a b\ncount[] exists x. a(x)\n"],

@@ -6,21 +6,33 @@ fitted by tensor-Lagrange interpolation with MPoly products, then checked
 with MPoly.eval on the shifted grid.  The library instead steps integer
 vectors through the grid and fits Newton forward differences; both must
 give exactly the same polynomials and verdicts.
+
+The library also fits each distinct family of matrices once per question
+and reads the fit back for every later pattern of that family; the last
+section checks this against fresh fits of every pattern.
 """
 
 import itertools
+import os
 import random
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import count_a, signed_length
 from zpoly import analysis, mso, series
-from zpoly.analysis import (PatternVerificationError, growth_degree, pattern_polynomial,
-                            ultimate_poly_check)
-from zpoly.cplc import PumpingPattern, expression_to_cplc, parse_expression
+from zpoly.analysis import (Analysis, PatternVerificationError, SearchBudget, growth_degree,
+                            pattern_polynomial, ultimate_poly_check)
+from zpoly.cplc import (Cplc, PumpingPattern, expression_to_cplc, indicator_cplc,
+                        parse_expression)
 from zpoly.exact import MPoly, QMat, UPoly, newton_degree, newton_to_mpoly
-from zpoly.lang import Alphabet
+from zpoly.lang import Alphabet, compile_regex
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
+import workloads  # noqa: E402  (the benchmark's regex pool)
 
 # ---------------------------------------------------------------------------
 # the oracle
@@ -277,3 +289,138 @@ def test_growth_verdicts_unchanged(text):
     v = growth_degree(build(text))
     assert (v.degree, v.budget_exhausted, v.patterns_tried, repr(v.witness),
             repr(v.witness_poly)) == GROWTH_VERDICTS[text]
+
+
+# ---------------------------------------------------------------------------
+# one fit per family: a fit read back from the question's table is the fit
+# of that pattern made afresh
+
+
+def fresh_fits(m):
+    """Make every `_Family.fit` fit its pattern afresh, in a table of its own
+    that reads matrix powers from the question's table."""
+    fit = analysis._Family.fit
+
+    def fresh_fit(self, pattern, k, scale=1):
+        fresh = analysis._Family(self.rep)
+        fresh.matrix = self.matrix
+        return fit(fresh, pattern, k, scale)
+
+    m.setattr(analysis._Family, "fit", fresh_fit)
+
+
+def outcome(v):
+    return (v.degree, v.mode, v.budget_exhausted, v.witness, v.witness_poly, v.patterns_tried)
+
+
+def with_and_without_the_table(question):
+    """question() run as is, then with fresh fits."""
+    kept = question()
+    with pytest.MonkeyPatch.context() as m:
+        fresh_fits(m)
+        return kept, question()
+
+
+@pytest.mark.parametrize("text", sorted(GROWTH_VERDICTS))
+def test_growth_corpus_reads_back_fresh_fits(text):
+    f = build(text)
+    kept, fresh = with_and_without_the_table(lambda: outcome(growth_degree(f)))
+    assert kept == fresh
+    assert (kept[0], kept[2], kept[5], repr(kept[3]), repr(kept[4])) == GROWTH_VERDICTS[text]
+
+
+def combination(terms, alphabet=Alphabet(["a", "b"])):
+    """sum of coef * ind(r0) . ind(r1) ... over (coef, regexes) terms."""
+    total = Cplc(alphabet, [])
+    for coef, regexes in terms:
+        term = indicator_cplc(compile_regex(regexes[0], alphabet))
+        for r in regexes[1:]:
+            term = term.cauchy(indicator_cplc(compile_regex(r, alphabet)))
+        total = total.add(term.scale(coef))
+    return total
+
+
+# 1-3 terms of 2 or 3 factors from the benchmark's pool: level 1 or 2
+POOL_TERMS = st.lists(st.tuples(st.sampled_from([-2, -1, 1, 2]),
+                                st.lists(st.sampled_from(workloads.POOL), min_size=2,
+                                         max_size=3).map(tuple)),
+                      min_size=1, max_size=3)
+SHORT = st.lists(st.sampled_from("ab"), max_size=2).map(tuple)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(POOL_TERMS, st.lists(st.tuples(SHORT, SHORT), min_size=1, max_size=4))
+def test_pool_combinations_read_back_fresh_fits(terms, pairs):
+    """growth_degree of f, then of the differences f|u - f|v at their row
+    vectors in f's representation, all in one analysis of f (one table),
+    as the merges of a residual transducer read it.  The budget keeps a
+    level-2 f below its level to 150 patterns."""
+    f = combination(terms)
+
+    def question():
+        an = Analysis.of(f, SearchBudget(max_patterns=150))
+        rep = an.rep
+        row = lambda w: rep.word_matrix(w).vecmat(rep.I)
+        out = [outcome(growth_degree(f, rep=an))]
+        for u, v in pairs:
+            h = f.residual(u).sub(f.residual(v))
+            dv = [x - y for x, y in zip(row(u), row(v))]
+            out.append(outcome(growth_degree(h, rep=an.at(dv))))
+        return out
+
+    kept, fresh = with_and_without_the_table(question)
+    assert kept == fresh
+
+
+def test_a_fit_is_kept_per_level_and_scale():
+    """One family fitted at two levels k and at two scales keeps four
+    entries, each the fresh fit; a family that does not stabilize raises
+    each time it is fitted."""
+    a1 = Alphabet(["a"])
+    for f, pattern in ((count_a(a1), PumpingPattern(((), ()), (("a",),))),
+                       (signed_length(a1), PumpingPattern((("a",), ()), (("a", "a"),)))):
+        rep = series.minimize(f.to_linrep())
+        family = analysis._Family(rep)
+        fits = []
+        for k, scale in [(1, 1), (2, 1), (1, 2), (2, 2), (1, 1), (2, 2)]:
+            fits.append(family.fit(pattern, k, scale))
+            assert fits[-1] == analysis._Family(rep).fit(pattern, k, scale)
+        assert all(fits[i] != fits[j] for i, j in itertools.combinations(range(4), 2))
+    pattern = PumpingPattern(((), ()), (("a",),))   # (-1)^n n along a^n
+    for _ in range(2):
+        with pytest.raises(PatternVerificationError):
+            family.fit(pattern, 1)
+    assert family.fit(pattern, 1, 2) == analysis._Family(rep).fit(pattern, 1, 2)
+
+
+def family_of(rep, pattern):
+    """The matrices a fit of the pattern reads: I mu(alpha_0), mu(alpha_l) F,
+    the pumps' and the inner connectors'."""
+    mu = rep.word_matrix
+    return (mu(pattern.alphas[0]).vecmat(rep.I), mu(pattern.alphas[-1]).matvec(rep.F),
+            tuple(mu(w).rows for w in pattern.pumps + pattern.alphas[1:-1]))
+
+
+def test_one_question_evaluates_each_family_once(monkeypatch):
+    """On the level-3 formula, the grid is evaluated for each distinct
+    family, not each pattern: 146 evaluations (2 per fit) for 163 patterns,
+    where one fit per pattern made 326; a second question starts afresh."""
+    f = build(LEVEL3)
+    evaluated = []
+    grid_values = analysis._Family.grid_values
+
+    def counted(self, pattern, *args):
+        evaluated.append(family_of(self.rep, pattern))
+        return grid_values(self, pattern, *args)
+
+    monkeypatch.setattr(analysis._Family, "grid_values", counted)
+    verdict, fitted = fitted_patterns(f, monkeypatch)
+    families = {family_of(Analysis.of(f).rep, p) for p, _, _ in fitted}
+    assert len(fitted) == verdict.patterns_tried == 163
+    assert len(evaluated) == 2 * len(families) == 146
+    assert set(evaluated) == families
+    del evaluated[:]
+    an = Analysis.of(f)
+    assert an.family.powers == {}
+    assert outcome(growth_degree(f, rep=an)) == outcome(verdict)
+    assert len(evaluated) == 146
