@@ -1,40 +1,35 @@
 """Growth analysis: pattern polynomials, growth degree, equivalence modulo
 polynomial growth, and ultimate-polynomial diagnostics.
 
-The growth degree of a function given as a level-k Cauchy combination is
-found from below by evaluating the function on pumping families
-alpha_0 w_1^{X_1} ... w_k^{X_k} alpha_k and fitting the resulting
-polynomials exactly: the family is stepped through a grid of exponents in
-the minimal representation (integer arithmetic where it is integral), and
-its Newton forward differences give the polynomial and its total degree.
-The syntactic level is an upper bound on the degree, so a witness of
-degree equal to the level settles the question; otherwise the verdict
-carries a budget_exhausted flag.
+The growth degree of a level-k Cauchy combination f is found from below on
+pumping families alpha_0 w_1^{X_1} ... w_l^{X_l} alpha_l, fitted exactly:
+once each pump's matrix is certified to be a matrix polynomial in its
+exponent from x0 on, the family's values on the simplex x0 + {|t| <= k}
+give its Newton forward differences (`_Family.fit`).  The level bounds the
+degree, so a witness of degree k settles the question; otherwise the
+verdict carries a budget_exhausted flag.
 
 For each number of pumps, from the level down, the search reads one lazy
 stream of patterns: the grid of short pump words and connectors, then the
 patterns harvested from factorization forests of sample words, so a forest
 is built only when the search reaches its word.  Pumps are raised to the
-idempotent power omega of the product monoid (computed once per monoid),
-and a pattern seen before is skipped.  `SearchBudget.max_patterns` caps
-the patterns a budgeted search reads, over all pump counts together.
-Certified mode reads instead the grid of pump words and connectors up to a
-completeness bound derived from the factorization-forest depth; it is
-feasible only for tiny monoids.
+idempotent power omega of the product monoid, and a pattern seen before
+is skipped.  `SearchBudget.max_patterns` caps the patterns a budgeted
+search reads, over all pump counts.  Certified mode reads instead the grid
+of pump words and connectors up to a completeness bound derived from the
+factorization-forest depth; it is feasible only for tiny monoids.
 
 An `Analysis` of f holds what every search about f reads: its minimal
-representation (I, mu, F), its product monoid (built on first use), one
-memoized pattern stream per pump count and one table of matrix powers of
-mu and of fits.  A fit is keyed on the matrices of its family, not on the
-words (see `_Family`), so each distinct family is fitted once per question.
-An analysis lives for one question, such as `canon.residual_transducer(f,
-k)`, whose merges each search a difference h of two residuals of f, at the
-row vector of h in f's representation (`Analysis.at`).  Those searches read
-f's monoid and patterns instead of h's: every factor DFA of h is a factor
-of f or a residual of one, so h's product monoid is a quotient of f's
-(the argument is in the `canon` docstring).  An f-idempotent pump is
-therefore h-idempotent, and a forest under f's morphism is also a forest
-under h's.
+representation (I, mu, F), its product monoid, one memoized pattern stream
+per pump count and one table of matrix powers and fits, each fit keyed on
+its family's matrices (see `_Family`).  An analysis lives for one question,
+such as `canon.residual_transducer(f, k)`, whose merges each search a
+difference h of two residuals of f at h's row vector in f's representation
+(`Analysis.at`).  Those searches read f's monoid and patterns instead of
+h's: every factor DFA of h is a factor of f or a residual of one, so h's
+product monoid is a quotient of f's (see the `canon` docstring).  An
+f-idempotent pump is therefore h-idempotent, and a forest under f's
+morphism is also a forest under h's.
 """
 
 from __future__ import annotations
@@ -48,7 +43,7 @@ from dataclasses import dataclass
 
 from . import forests, series
 from .cplc import Cplc, PumpingPattern, product_monoid
-from .exact import MPoly, newton_coefficients, newton_degree, newton_to_mpoly, newton_values
+from .exact import MPoly, newton_coefficients, newton_degree, newton_to_mpoly
 
 
 class BudgetExhausted(RuntimeError):
@@ -60,8 +55,7 @@ class CertifiedInfeasible(RuntimeError):
 
 
 class PatternVerificationError(RuntimeError):
-    """Interpolation failed to stabilize (the family is not ultimately
-    polynomial at the probed offsets)."""
+    """A pump of the family does not settle (`_Family.settles`): no fit is certified."""
 
 
 @dataclass
@@ -83,8 +77,13 @@ class GrowthVerdict:
     mode: str
     budget_exhausted: bool
     witness: PumpingPattern | None = None
-    witness_poly: MPoly | None = None
+    witness_fit: tuple | None = None    # the witness's (coefficients, size, k, x0)
     patterns_tried: int = 0
+
+    @functools.cached_property
+    def witness_poly(self) -> MPoly | None:
+        """The witness's polynomial, built from its fit when first read."""
+        return self.witness_fit and newton_to_mpoly(*self.witness_fit)
 
 
 # ---------------------------------------------------------------------------
@@ -95,16 +94,14 @@ class _Family:
     """Values of one representation on pumping families, exact and in
     Python ints wherever the representation's entries are integral.
 
-    `powers` is the table of one question.  It maps (word, exponent) to the
-    pair (mu(word)^exponent, its transpose), a row vector stepping as
-    transpose.matvec, and it keeps every fit.  A fit is a function of the
-    family's matrices, not of its words: of I mu(alpha_0), of
-    mu(alpha_l) F, and of the pumps mu(w_i) and inner connectors
-    mu(alpha_i).  So `fit` keys it on k, scale, I mu(alpha_0) and the ids
-    (`ident`) of the others, and a fit read back is the very fit that would
-    be computed: same x0, same coefficients.  Through `Analysis.at` the
-    table serves every row vector of the representation, so each distinct
-    family is powered and fitted once per question.
+    `powers` is the table of one question: it maps (word, exponent) to
+    (mu(word)^exponent, its transpose), a row vector stepping as
+    transpose.matvec, and keeps every pump check and fit.  A fit depends on
+    the family's matrices only, I mu(alpha_0), mu(alpha_l) F, the pumps and
+    the inner connectors, so `fit` keys it on k, scale, I mu(alpha_0) and
+    the ids (`ident`) of the others: a fit read back is the fit that would
+    be computed.  Through `Analysis.at` the table serves every row vector
+    of the representation, so each distinct family is fitted once.
     """
 
     def __init__(self, rep: series.LinRep, powers: dict | None = None):
@@ -114,10 +111,7 @@ class _Family:
     def matrix(self, word, e: int = 1):
         key = (word, e)
         if key not in self.powers:
-            if e == 1:
-                m = self.rep.word_matrix(word)
-            else:
-                m = self.matrix(word)[0].power(e)
+            m = self.rep.word_matrix(word) if e == 1 else self.matrix(word)[0].power(e)
             self.powers[key] = (m, m.transpose())
         return self.powers[key]
 
@@ -132,24 +126,20 @@ class _Family:
         return self.powers[key]
 
     def grid_values(self, pattern: PumpingPattern, start: int, d: int, scale: int):
-        """f(alpha_0 w_1^{scale x_1} ... w_l^{scale x_l} alpha_l) for x in
-        {start .. start+d}^l, row-major.
+        """f(alpha_0 w_1^{scale x_1} ... w_l^{scale x_l} alpha_l) at x = start + t
+        for t in `exact.simplex_points(l, d)`, in that order.
 
         Each pump is entered at v mu(w)^{scale start} and stepped by one
-        product with mu(w)^scale; the last pump and connector are folded
-        into F, one column per exponent, so a grid point costs one dot
-        product.
+        product with mu(w)^scale while the budget d - t_1 - ... - t_j lasts;
+        the last pump and connector are folded into F, one column per
+        exponent, so a point costs one dot product.
         """
         pumps, alphas = pattern.pumps, pattern.alphas
         ell = len(pumps)
-        u = self.rep.I
-        if alphas[0]:
-            u = self.matrix(alphas[0])[1].matvec(u)
+        u = self.matrix(alphas[0])[1].matvec(self.rep.I) if alphas[0] else self.rep.I
         if ell == 0:
             return [sum(map(operator.mul, u, self.rep.F))]
-        g = self.rep.F
-        if alphas[-1]:
-            g = self.matrix(alphas[-1])[0].matvec(g)
+        g = self.matrix(alphas[-1])[0].matvec(self.rep.F) if alphas[-1] else self.rep.F
         g = self.matrix(pumps[-1], scale * start)[0].matvec(g)
         last_step = self.matrix(pumps[-1], scale)[0]
         columns = [g]
@@ -157,48 +147,57 @@ class _Family:
             columns.append(last_step.matvec(columns[-1]))
         out = []
 
-        def walk(j, u):
+        def walk(j, u, budget):
             if j == ell - 1:
-                out.extend(sum(map(operator.mul, u, g)) for g in columns)
+                out.extend(sum(map(operator.mul, u, g)) for g in columns[:budget + 1])
                 return
             u = self.matrix(pumps[j], scale * start)[1].matvec(u)
             step = self.matrix(pumps[j], scale)[1]
             alpha = alphas[j + 1]
             connector = self.matrix(alpha)[1] if alpha else None
-            for t in range(d + 1):
+            for t in range(budget + 1):
                 if t:
                     u = step.matvec(u)
-                walk(j + 1, connector.matvec(u) if alpha else u)
+                walk(j + 1, connector.matvec(u) if alpha else u, budget - t)
 
-        walk(0, u)
+        walk(0, u, d)
         del walk   # it refers to itself: free its cycle (and the family) now, not at a full gc
         return out
 
-    def fit(self, pattern: PumpingPattern, k: int, scale: int = 1):
-        """(x0, Newton coefficients) of the family on {x0 .. x0+k}^l.
+    def settles(self, pump, scale: int, x0: int) -> bool:
+        """Whether N^x0 (N - I)^e = 0 for an e <= dim, N = mu(pump)^scale, so
+        that N^(x0 + t) = sum_{i < e} C(t, i) N^x0 (N - I)^i for all t >= 0.
+        It does for x0 >= k + 1 when the pump is idempotent in the product
+        monoid of a level-k function: mu(pump) then has only the eigenvalues
+        0 and 1, in Jordan blocks of size at most k + 1."""
+        key = ("settles", self.ident(pump), scale, x0)
+        if key not in self.powers:
+            n, p = self.matrix(pump, scale)[0], self.matrix(pump, scale * x0)[0]
+            for _ in range(n.nrows):
+                p = p if p.is_zero() else p * n - p
+            self.powers[key] = p.is_zero()
+        return self.powers[key]
 
-        x0 starts at 2(k+1); the fit is checked on the disjoint shifted grid
-        {x0+k+1 .. x0+2k+1}^l, and x0 is doubled once on failure.  A fit is
-        kept in `powers` under its family's key; a failure is not.
-        """
-        u = self.rep.I
-        if pattern.alphas[0]:
-            u = self.matrix(pattern.alphas[0])[1].matvec(u)
+    def fit(self, pattern: PumpingPattern, k: int, scale: int = 1):
+        """(x0, Newton coefficients Delta^i at x0 for |i| <= k) of the family.
+
+        When every pump settles at x0, the family is a polynomial on x >= x0,
+        of total degree at most k if k bounds the growth of the series (as
+        the level of f does), so the simplex x0 + {|t| <= k}, the only values
+        read, fixes it.  x0 = 2(k+1) is doubled once if a pump does not
+        settle, then PatternVerificationError is raised."""
+        alpha = pattern.alphas[0]
+        u = self.matrix(alpha)[1].matvec(self.rep.I) if alpha else self.rep.I
         key = (k, scale, u, self.ident(pattern.alphas[-1], True),
                *map(self.ident, (*pattern.pumps, *pattern.alphas[1:-1])))
         if key in self.powers:
             return self.powers[key]
-        ell = pattern.size
-        x0 = 2 * (k + 1)
-        for _attempt in range(2):
-            coeffs = newton_coefficients(self.grid_values(pattern, x0, k, scale), ell, k)
-            if (newton_values(coeffs, ell, k, range(k + 1, 2 * k + 2))
-                    == self.grid_values(pattern, x0 + k + 1, k, scale)):
-                self.powers[key] = x0, coeffs
-                return x0, coeffs
-            x0 *= 2
-        raise PatternVerificationError(
-            "family %r did not stabilize to a polynomial" % (pattern,))
+        for x0 in (2 * (k + 1), 4 * (k + 1)):
+            if all(self.settles(w, scale, x0) for w in pattern.pumps):
+                values = self.grid_values(pattern, x0, k, scale)
+                self.powers[key] = x0, newton_coefficients(values, pattern.size, k)
+                return self.powers[key]
+        raise PatternVerificationError("a pump of %r does not settle" % (pattern,))
 
     def polynomial(self, pattern: PumpingPattern, k: int, scale: int = 1) -> MPoly:
         x0, coeffs = self.fit(pattern, k, scale)
@@ -206,13 +205,9 @@ class _Family:
 
 
 def pattern_polynomial(f: Cplc, pattern: PumpingPattern, rep=None) -> MPoly:
-    """The exact polynomial giving f on the pumping family for all large
-    exponents.
-
-    Fits Newton forward differences on the grid {x0 .. x0+k}^l with
-    x0 = 2(k+1) (k the level of f) and verifies on a disjoint shifted grid,
-    doubling x0 once on failure.
-    """
+    """The exact polynomial giving f on the pumping family for all
+    exponents from x0 on, certified and fitted by `_Family.fit` at k the
+    level of f."""
     if rep is None:
         rep = series.minimize(f.to_linrep())
     return _Family(rep).polynomial(pattern, f.level)
@@ -224,15 +219,16 @@ def normalize_pattern(f: Cplc, pattern: PumpingPattern,
     the product monoid of f; already-idempotent pumps are kept."""
     if morphism is None:
         _, morphism = product_monoid(f)
+    return PumpingPattern(pattern.alphas,
+                          tuple(_idempotent_power(morphism, w) for w in pattern.pumps))
+
+
+def _idempotent_power(morphism, w):
+    """w^omega under the morphism: w itself when its image is idempotent."""
+    if not w:
+        raise ValueError("empty pump word")
     m = morphism.monoid
-    _, omega = m.aperiodicity
-    pumps = []
-    for w in pattern.pumps:
-        if not w:
-            raise ValueError("empty pump word")
-        x = morphism.image(w)
-        pumps.append(w if m.is_idempotent(x) else w * omega)
-    return PumpingPattern(pattern.alphas, tuple(pumps))
+    return w if m.is_idempotent(morphism.image(w)) else w * m.aperiodicity[1]
 
 
 # ---------------------------------------------------------------------------
@@ -244,22 +240,6 @@ def _words_up_to(letters, max_len, include_empty):
     for k in range(1, max_len + 1):
         out.extend(itertools.product(letters, repeat=k))
     return out
-
-
-def _sample_words(alphabet, budget: SearchBudget):
-    letters = list(alphabet.letters)
-    words = []
-    total = sum(len(letters) ** k for k in range(1, budget.sample_len + 1))
-    if total <= budget.max_samples:
-        words.extend(_words_up_to(letters, budget.sample_len, include_empty=False))
-    else:
-        rng = random.Random(budget.seed)
-        for _ in range(budget.max_samples):
-            k = rng.randint(1, budget.sample_len)
-            words.append(tuple(rng.choice(letters) for _ in range(k)))
-    words += [(a,) * 8 for a in letters]
-    words += [(a, b) * 4 for a in letters for b in letters if a != b]
-    return sorted(set(words))
 
 
 def _grid(pumps, connectors, size):
@@ -307,10 +287,11 @@ def _certified_patterns(f: Cplc, size, morphism, budget: SearchBudget):
 # the analysis of one question
 
 
-def _distinct_normalized(f: Cplc, patterns, morphism):
+def _distinct_normalized(patterns, omega):
+    """The distinct patterns with each pump w replaced by omega(w)."""
     seen = set()
     for pattern in patterns:
-        norm = normalize_pattern(f, pattern, morphism)
+        norm = PumpingPattern(pattern.alphas, tuple(map(omega, pattern.pumps)))
         if norm not in seen:
             seen.add(norm)
             yield norm
@@ -321,26 +302,51 @@ class _Patterns:
 
     A stream reads the grid, then the forest harvest, and keeps every
     distinct pattern it has produced, so a later search replays them before
-    it reads further.  The product monoid of f is built on first use."""
+    it reads further.  The product monoid, the sample words, each pump's
+    normalization and each sample word's forest are made once, on first
+    use, and shared by every stream."""
 
     def __init__(self, f: Cplc, budget: SearchBudget):
         self.f = f
         self.budget = budget
         self.streams = {}    # pump count -> (patterns read so far, their source)
+        self.omegas = {}     # pump word -> its idempotent power
+        self.forests = {}    # sample word -> (its forest, the forest's skeleton analysis)
 
     @functools.cached_property
     def morphism(self):
         return product_monoid(self.f, cap=self.budget.monoid_cap)[1]
 
+    @functools.cached_property
+    def sample_words(self):
+        letters, budget = list(self.f.alphabet.letters), self.budget
+        if sum(len(letters) ** k for k in range(1, budget.sample_len + 1)) <= budget.max_samples:
+            words = _words_up_to(letters, budget.sample_len, include_empty=False)
+        else:
+            rng = random.Random(budget.seed)
+            words = [tuple(rng.choice(letters) for _ in range(rng.randint(1, budget.sample_len)))
+                     for _ in range(budget.max_samples)]
+        words += [(a,) * 8 for a in letters]
+        words += [(a, b) * 4 for a in letters for b in letters if a != b]
+        return sorted(set(words))
+
+    def omega(self, w):
+        """w^omega under f's product monoid (`normalize_pattern`)."""
+        if w not in self.omegas:
+            self.omegas[w] = _idempotent_power(self.morphism, w)
+        return self.omegas[w]
+
+    def _harvest(self, size: int):
+        """A generator: the sample words are made when a stream reaches it."""
+        yield from forests.extract_patterns(self.f, self.sample_words, size,
+                                            cap=self.budget.tuple_cap, seed=self.budget.seed,
+                                            morphism=self.morphism, forests=self.forests)
+
     def stream(self, size: int):
         if size not in self.streams:
-            f, budget = self.f, self.budget
-            source = itertools.chain(
-                _exhaustive_patterns(f.alphabet, size, budget),
-                forests.extract_patterns(f, _sample_words(f.alphabet, budget), size,
-                                         cap=budget.tuple_cap, seed=budget.seed,
-                                         morphism=self.morphism))
-            self.streams[size] = ([], _distinct_normalized(f, source, self.morphism))
+            source = itertools.chain(_exhaustive_patterns(self.f.alphabet, size, self.budget),
+                                     self._harvest(size))
+            self.streams[size] = ([], _distinct_normalized(source, self.omega))
         read, source = self.streams[size]
         for i in itertools.count():
             if i == len(read):
@@ -420,10 +426,9 @@ def growth_degree(f: Cplc, budget: SearchBudget | None = None,
         return GrowthVerdict(0, mode, False)
 
     if mode == "certified":
-        morphism = an.patterns.morphism
         patterns = itertools.chain.from_iterable(
-            _distinct_normalized(f, _certified_patterns(f, size, morphism, budget), morphism)
-            for size in range(k_max, 0, -1))
+            _distinct_normalized(_certified_patterns(f, size, an.patterns.morphism, budget),
+                                 an.patterns.omega) for size in range(k_max, 0, -1))
     else:
         patterns = itertools.islice(
             itertools.chain.from_iterable(an.patterns.stream(size)
@@ -431,25 +436,20 @@ def growth_degree(f: Cplc, budget: SearchBudget | None = None,
             budget.max_patterns)
     best_degree = 0
     witness = None
-    witness_poly = None
+    witness_fit = None
     tried = 0
     for norm in patterns:
         tried += 1
         x0, coeffs = an.family.fit(norm, k_max)
         deg = newton_degree(coeffs, norm.size, k_max)
-        if deg > k_max:
-            raise AssertionError(
-                "pattern degree %d exceeds the syntactic level %d" % (deg, k_max))
         if deg > best_degree:
             best_degree = deg
             witness = norm
-            witness_poly = newton_to_mpoly(coeffs, norm.size, k_max, x0)
+            witness_fit = coeffs, norm.size, k_max, x0
         if best_degree == k_max:
-            return GrowthVerdict(best_degree, mode, False, witness,
-                                 witness_poly, tried)
+            return GrowthVerdict(best_degree, mode, False, witness, witness_fit, tried)
     exhausted = (mode == "budgeted" and best_degree < k_max)
-    return GrowthVerdict(best_degree, mode, exhausted, witness,
-                         witness_poly, tried)
+    return GrowthVerdict(best_degree, mode, exhausted, witness, witness_fit, tried)
 
 
 # ---------------------------------------------------------------------------
@@ -496,9 +496,10 @@ class UltimatePolyReport:
 
 def ultimate_poly_check(f: Cplc, patterns, step: int = 1, rep=None):
     """For each pattern, test whether X |-> f(... w_i^{step * X_i} ...) is
-    ultimately polynomial, without normalizing the pump words.
+    ultimately polynomial, without normalizing the pump words, by the exact
+    sufficient condition of `_Family.fit`: every mu(w_i)^step settles.
 
-    With step 1 this can fail on functions that are only polynomial along
+    With step 1 this fails on functions that are only polynomial along
     idempotent subsequences (the classical (-1)^n n example); a suitable
     step restores polynomiality."""
     if rep is None:
@@ -507,8 +508,8 @@ def ultimate_poly_check(f: Cplc, patterns, step: int = 1, rep=None):
     out = []
     for pattern in patterns:
         try:
-            poly = family.polynomial(pattern, f.level, step)
-            out.append(UltimatePolyReport(pattern, step, True, poly))
+            out.append(UltimatePolyReport(pattern, step, True,
+                                          family.polynomial(pattern, f.level, step)))
         except PatternVerificationError:
-            out.append(UltimatePolyReport(pattern, step, False, None))
+            out.append(UltimatePolyReport(pattern, step, False))
     return out

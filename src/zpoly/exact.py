@@ -12,6 +12,7 @@ polynomials divides them.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -514,66 +515,59 @@ class MPoly:
 
 
 # ---------------------------------------------------------------------------
-# Newton forward differences on grids
+# Newton forward differences on downward-closed point sets
 #
-# A function on the grid {x0 .. x0+d}^arity is stored as a flat row-major
-# list of values (first variable slowest).  Its Newton coefficients c are
-# the iterated forward differences, with
-#     f(x0 + t) = sum_i c_i * prod_j binomial(t_j, i_j),
-# so integer values give integer coefficients, and the total degree of the
-# interpolating polynomial is the largest |i| with c_i != 0.
+# Values at x0 + t, t in a set T of multi-indices closed under lowering a
+# coordinate (the simplex {|t| <= d}, or the grid {0..d}^arity), are a flat
+# list in the lexicographic order of T.  The Newton coefficients are
+# c_i = Delta^i f(x0) for i in T, so f(x0 + t) = sum_i c_i prod_j C(t_j, i_j)
+# when f is a polynomial whose coefficients outside T vanish.  Delta^i f(x0)
+# reads only points t <= i, all in T; integer values give integer
+# coefficients, and the total degree is the largest |i| with c_i != 0.
 
 
-def _along_axes(flat, arity: int, mat):
-    """Multiply every axis of a row-major tensor of side len(mat[0]) by the
-    matrix `mat`; the result has side len(mat)."""
-    n = len(mat[0])
-    for _ in range(arity):
-        # contract the last axis; the new axis becomes the first, so after
-        # `arity` rounds the axes are back in their original order
-        chunks = [flat[r:r + n] for r in range(0, len(flat), n)]
-        flat = [sum(map(operator.mul, row, chunk)) for row in mat for chunk in chunks]
-    return flat
+@functools.cache
+def simplex_points(arity: int, d: int):
+    """The C(d + arity, arity) multi-indices t in N^arity with |t| <= d."""
+    return tuple(t for t in itertools.product(range(d + 1), repeat=arity) if sum(t) <= d)
 
 
-def grid_points(arity: int, d: int):
-    """The multi-indices {0..d}^arity in row-major order."""
-    return itertools.product(range(d + 1), repeat=arity)
+@functools.cache
+def _difference_rows(points):
+    """Per i in points, the pairs (position of t, coefficient) of
+    Delta^i f(x0) = sum_{t <= i} prod_j (-1)^(i_j - t_j) C(i_j, t_j) f(x0 + t)."""
+    index = {t: n for n, t in enumerate(points)}
+    return [[(index[t], math.prod((-1) ** (a - b) * math.comb(a, b) for a, b in zip(i, t)))
+             for t in itertools.product(*[range(a + 1) for a in i])] for i in points]
 
 
-def newton_coefficients(values, arity: int, d: int):
-    """Newton coefficients of the values on a grid of side d + 1."""
-    diff = [[(-1) ** (i - t) * math.comb(i, t) if t <= i else 0 for t in range(d + 1)]
-            for i in range(d + 1)]
-    return _along_axes(list(values), arity, diff)
+def _differences(values, points):
+    return [sum([c * values[n] for n, c in row]) for row in _difference_rows(points)]
 
 
-def newton_values(coeffs, arity: int, d: int, offsets):
-    """The Newton form at x0 + t for t in offsets^arity (row-major)."""
-    return _along_axes(coeffs, arity,
-                       [[math.comb(t, i) for i in range(d + 1)] for t in offsets])
-
-
-def newton_degree(coeffs, arity: int, d: int) -> int:
-    """Total degree of the Newton form, or -1 when it is zero."""
-    return max((sum(i) for i, c in zip(grid_points(arity, d), coeffs) if c),
-               default=-1)
-
-
-def newton_monomials(coeffs, arity: int, d: int, x0: int):
-    """Coefficients of the Newton form based at x0 in the monomial basis,
-    indexed like the grid (exponent i_j of variable j)."""
+def _to_mpoly(coeffs, points, d: int, x0: int) -> MPoly:
     basis = [UPoly.const(1)]    # binomial(X - x0, i) as polynomials in X
     for i in range(1, d + 1):
         basis.append(basis[-1] * UPoly([Fraction(-(x0 + i - 1), i), Fraction(1, i)]))
-    to_mono = [[b.coeffs[p] if p < len(b.coeffs) else 0 for b in basis]
-               for p in range(d + 1)]
-    return _along_axes(coeffs, arity, to_mono)
+    terms = {}
+    for i, c in zip(points, coeffs):
+        for p in itertools.product(*[range(a + 1) for a in i]):
+            terms[p] = terms.get(p, 0) + c * math.prod(basis[a].coeffs[e] for a, e in zip(i, p))
+    return MPoly(len(points[0]), terms)
+
+
+def newton_coefficients(values, arity: int, d: int):
+    """Newton coefficients of the values on the simplex |t| <= d."""
+    return _differences(values, simplex_points(arity, d))
+
+
+def newton_degree(coeffs, arity: int, d: int) -> int:
+    """Total degree of a Newton form on the simplex, or -1 when it is zero."""
+    return max((sum(i) for i, c in zip(simplex_points(arity, d), coeffs) if c), default=-1)
 
 
 def newton_to_mpoly(coeffs, arity: int, d: int, x0: int) -> MPoly:
-    mono = newton_monomials(coeffs, arity, d, x0)
-    return MPoly(arity, dict(zip(grid_points(arity, d), mono)))
+    return _to_mpoly(coeffs, simplex_points(arity, d), d, x0)
 
 
 def interpolate_grid(arity: int, per_var_degree: int, x0: int, value_at) -> MPoly:
@@ -584,8 +578,9 @@ def interpolate_grid(arity: int, per_var_degree: int, x0: int, value_at) -> MPol
     with `value_at` on the whole grid.
     """
     d = per_var_degree
-    values = [value_at(tuple(x0 + i for i in idx)) for idx in grid_points(arity, d)]
-    return newton_to_mpoly(newton_coefficients(values, arity, d), arity, d, x0)
+    points = tuple(itertools.product(range(d + 1), repeat=arity))
+    values = [value_at(tuple(x0 + i for i in t)) for t in points]
+    return _to_mpoly(_differences(values, points), points, d, x0)
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +596,8 @@ def power_sum(p: int) -> UPoly:
         return _POWER_SUM_CACHE[p]
     # the sum is a polynomial of degree p+1: p+2 values determine it
     values = list(itertools.accumulate(x ** p for x in range(p + 2)))
-    poly = UPoly(newton_monomials(newton_coefficients(values, 1, p + 1), 1, p + 1, 0))
+    mono = newton_to_mpoly(newton_coefficients(values, 1, p + 1), 1, p + 1, 0)
+    poly = UPoly([mono.terms.get((e,), 0) for e in range(p + 2)])
     _POWER_SUM_CACHE[p] = poly
     return poly
 

@@ -382,12 +382,13 @@ def to_dot(root: ForestNode) -> str:
 
 
 def extract_patterns(f: Cplc, sample_words, k: int, cap: int = 200,
-                     seed: int = 0, morphism=None):
+                     seed: int = 0, morphism=None, forests=None):
     """Pumping patterns of size k harvested from factorization forests of
     the sample words under the product-monoid morphism of f, generated
     lazily: the forest of a sample word is built only when the patterns of
     the words before it have all been read, and a repeated pattern is
-    skipped.
+    skipped.  `forests` maps sample words to their (forest, skeleton
+    analysis); it is read and filled, so harvests can share forests.
 
     A pattern comes from k pairwise independent skeleton owners: none is the
     root, they neither observe each other nor touch the word boundary, and
@@ -396,14 +397,16 @@ def extract_patterns(f: Cplc, sample_words, k: int, cap: int = 200,
     """
     if morphism is None:
         _, morphism = product_monoid(f)
+    forests = {} if forests is None else forests
     rng = random.Random(seed)
     seen = set()
     for word in sample_words:
         word = tuple(word)
         if not word:
             continue
-        root = simon_forest(morphism, word)
-        analysis = skeleton_analysis(root)
+        if word not in forests:
+            forests[word] = (root := simon_forest(morphism, word)), skeleton_analysis(root)
+        root, analysis = forests[word]
         owners = sorted({analysis.skel_root[u] for u in analysis.leaves()})
         candidates = [u for u in owners if u != root.uid
                       and analysis.nodes[u].start > 1 and analysis.nodes[u].end < len(word)]

@@ -13,6 +13,7 @@ section checks this against fresh fits of every pattern.
 """
 
 import itertools
+import math
 import os
 import random
 import sys
@@ -28,7 +29,7 @@ from zpoly.analysis import (Analysis, PatternVerificationError, SearchBudget, gr
                             pattern_polynomial, ultimate_poly_check)
 from zpoly.cplc import (Cplc, PumpingPattern, expression_to_cplc, indicator_cplc,
                         parse_expression)
-from zpoly.exact import MPoly, QMat, UPoly, newton_degree, newton_to_mpoly
+from zpoly.exact import MPoly, QMat, UPoly, newton_degree, newton_to_mpoly, simplex_points
 from zpoly.lang import Alphabet, compile_regex
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
@@ -403,8 +404,8 @@ def family_of(rep, pattern):
 
 def test_one_question_evaluates_each_family_once(monkeypatch):
     """On the level-3 formula, the grid is evaluated for each distinct
-    family, not each pattern: 146 evaluations (2 per fit) for 163 patterns,
-    where one fit per pattern made 326; a second question starts afresh."""
+    family, not each pattern: 73 evaluations (1 per fit) for 163 patterns,
+    where one fit per pattern made 163; a second question starts afresh."""
     f = build(LEVEL3)
     evaluated = []
     grid_values = analysis._Family.grid_values
@@ -417,10 +418,122 @@ def test_one_question_evaluates_each_family_once(monkeypatch):
     verdict, fitted = fitted_patterns(f, monkeypatch)
     families = {family_of(Analysis.of(f).rep, p) for p, _, _ in fitted}
     assert len(fitted) == verdict.patterns_tried == 163
-    assert len(evaluated) == 2 * len(families) == 146
+    assert len(evaluated) == len(families) == 73
     assert set(evaluated) == families
     del evaluated[:]
     an = Analysis.of(f)
     assert an.family.powers == {}
     assert outcome(growth_degree(f, rep=an)) == outcome(verdict)
-    assert len(evaluated) == 146
+    assert len(evaluated) == 73
+
+
+# ---------------------------------------------------------------------------
+# simplex fits: a fit reads the C(k + l, l) values of the simplex
+# x0 + {|t| <= k}, once every pump N satisfies N^x0 (N - I)^e = 0
+
+
+def simplex_fits(f):
+    """growth_degree on f, recording (pattern, x0, coefficients) of each fit."""
+    seen = []
+    fit = analysis._Family.fit
+
+    def recording_fit(self, pattern, k, scale=1):
+        x0, coeffs = fit(self, pattern, k, scale)
+        seen.append((pattern, x0, coeffs))
+        return x0, coeffs
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(analysis._Family, "fit", recording_fit)
+        growth_degree(f)
+    return seen
+
+
+def oracle_newton(poly, ell, k, x0):
+    """Delta^i poly(x0) for i in {0..k}^l, by the difference formula."""
+    grid = list(itertools.product(range(k + 1), repeat=ell))
+    value = {t: poly.eval(tuple(x0 + s for s in t)) for t in grid}
+    return {i: sum(value[t] * math.prod((-1) ** (a - b) * math.comb(a, b) for a, b in zip(i, t))
+                   for t in itertools.product(*[range(a + 1) for a in i]))
+            for i in grid}
+
+
+def assert_simplex_fits_match_oracle(f):
+    rep, k = series.minimize(f.to_linrep()), f.level
+    fits = simplex_fits(f)
+    for pattern, x0, coeffs in fits:
+        want = oracle_newton(oracle_pattern_polynomial(f, pattern, rep), pattern.size, k, x0)
+        assert dict(zip(simplex_points(pattern.size, k), coeffs)) == {
+            i: c for i, c in want.items() if sum(i) <= k}, pattern
+        assert all(c == 0 for i, c in want.items() if sum(i) > k), pattern
+    return fits
+
+
+@pytest.mark.parametrize("text", sorted(GROWTH_VERDICTS))
+def test_corpus_simplex_fits_match_the_tensor_oracle(text):
+    """Every fit of the corpus: the simplex coefficients are the oracle's
+    for |i| <= k, and the oracle's are zero for |i| > k."""
+    fits = assert_simplex_fits_match_oracle(build(text))
+    assert len(fits) == GROWTH_VERDICTS[text][2]
+
+
+@pytest.mark.parametrize("name", ["wa", "signed", "product_counts", "itimesj"])
+def test_fixture_simplex_fits_match_the_tensor_oracle(name, request):
+    assert assert_simplex_fits_match_oracle(request.getfixturevalue(name))
+
+
+def test_a_fit_reads_only_the_simplex(monkeypatch):
+    """On the level-3 formula each fit reads C(3 + 3, 3) = 20 family values,
+    where the tensor grid and its check read 2 * 4^3 = 128."""
+    f = build(LEVEL3)
+    read = []
+    grid_values = analysis._Family.grid_values
+
+    def counted(self, pattern, start, d, scale):
+        values = grid_values(self, pattern, start, d, scale)
+        read.append((pattern.size, d, len(values)))
+        return values
+
+    monkeypatch.setattr(analysis._Family, "grid_values", counted)
+    assert growth_degree(f).patterns_tried == 163
+    assert {(ell, d) for ell, d, _ in read} == {(3, 3)}
+    assert all(n == math.comb(ell + d, ell) == 20 for ell, d, n in read)
+
+
+def settles_at(rep, w, x0):
+    """N^x0 (N - I)^e = 0 for some e <= dim, N = mu(w), by matrix powers."""
+    n = rep.word_matrix(w)
+    minus = n - QMat.identity(rep.dim)
+    p = n.power(x0)
+    for _ in range(rep.dim):
+        p = p * minus
+    return p.is_zero()
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(POOL_TERMS)
+def test_normalized_pool_pumps_settle_at_the_first_offset(terms):
+    """Each normalized pump of a pool combination of level k, from the grid
+    and from the forest harvest, settles at x0 = 2(k+1): no doubling."""
+    f = combination(terms)
+    an, k = Analysis.of(f), f.level
+    harvest = itertools.islice(an.patterns._harvest(1), 300)
+    pumps = {an.patterns.omega(w) for pattern in itertools.chain(
+        analysis._exhaustive_patterns(f.alphabet, 1, SearchBudget(pump_len=3)), harvest)
+        for w in pattern.pumps}
+    for w in pumps:
+        assert settles_at(an.rep, w, 2 * (k + 1)), w
+        assert an.family.settles(w, 1, 2 * (k + 1))
+
+
+def test_signed_length_settles_only_along_even_steps():
+    """(-1)^n n along a^n: mu(a) has the eigenvalue -1, so no fit is
+    certified at steps 1 and 3; at step 2 the family is 2X exactly."""
+    f = signed_length(Alphabet(["a"]))
+    assert [f.eval(("a",) * n) for n in range(5)] == [0, -1, 2, -3, 4]
+    pattern = PumpingPattern(((), ()), (("a",),))
+    reports = ultimate_poly_check(f, [pattern] * 3, step=1) + ultimate_poly_check(
+        f, [pattern], step=2) + ultimate_poly_check(f, [pattern], step=3)
+    assert [r.is_polynomial for r in reports] == [False] * 3 + [True, False]
+    assert reports[3].poly == MPoly(1, {(1,): 2})
+    with pytest.raises(PatternVerificationError):
+        pattern_polynomial(f, pattern)
