@@ -3,7 +3,7 @@ polynomial growth, and ultimate-polynomial diagnostics.
 
 The growth degree of a level-k Cauchy combination f is found from below on
 pumping families alpha_0 w_1^{X_1} ... w_l^{X_l} alpha_l, fitted exactly:
-once each pump's matrix is certified to be a matrix polynomial in its
+once each pump's matrix is shown to be a matrix polynomial in its
 exponent from x0 on, the family's values on the simplex x0 + {|t| <= k}
 give its Newton forward differences (`_Family.fit`).  The level bounds the
 degree, so a witness of degree k settles the question; otherwise the
@@ -14,10 +14,8 @@ stream of patterns: the grid of short pump words and connectors, then the
 patterns harvested from factorization forests of sample words, so a forest
 is built only when the search reaches its word.  Pumps are raised to the
 idempotent power omega of the product monoid, and a pattern seen before
-is skipped.  `SearchBudget.max_patterns` caps the patterns a budgeted
-search reads, over all pump counts.  Certified mode reads instead the grid
-of pump words and connectors up to a completeness bound derived from the
-factorization-forest depth; it is feasible only for tiny monoids.
+is skipped.  `SearchBudget.max_patterns` caps the patterns a search reads,
+over all pump counts.
 
 An `Analysis` of f holds what every search about f reads: its minimal
 representation (I, mu, F), its product monoid, one memoized pattern stream
@@ -36,7 +34,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import operator
 import random
 from dataclasses import dataclass
@@ -50,12 +47,8 @@ class BudgetExhausted(RuntimeError):
     """An equivalence question could not be settled within the budget."""
 
 
-class CertifiedInfeasible(RuntimeError):
-    """The certified enumeration exceeds the configured hard cap."""
-
-
 class PatternVerificationError(RuntimeError):
-    """A pump of the family does not settle (`_Family.settles`): no fit is certified."""
+    """A pump of the family does not settle (`_Family.settles`): no fit is proved."""
 
 
 @dataclass
@@ -66,7 +59,6 @@ class SearchBudget:
     max_samples: int = 200
     tuple_cap: int = 100       # forest tuples kept per sample word
     max_patterns: int = 20000
-    certified_cap: int = 200000
     monoid_cap: int = 100000
     seed: int = 0
 
@@ -74,7 +66,6 @@ class SearchBudget:
 @dataclass
 class GrowthVerdict:
     degree: int
-    mode: str
     budget_exhausted: bool
     witness: PumpingPattern | None = None
     witness_fit: tuple | None = None    # the witness's (coefficients, size, k, x0)
@@ -98,10 +89,10 @@ class _Family:
     (mu(word)^exponent, its transpose), a row vector stepping as
     transpose.matvec, and keeps every pump check and fit.  A fit depends on
     the family's matrices only, I mu(alpha_0), mu(alpha_l) F, the pumps and
-    the inner connectors, so `fit` keys it on k, scale, I mu(alpha_0) and
-    the ids (`ident`) of the others: a fit read back is the fit that would
-    be computed.  Through `Analysis.at` the table serves every row vector
-    of the representation, so each distinct family is fitted once.
+    the inner connectors, so `fit` keys it on k, I mu(alpha_0) and the ids
+    (`ident`) of the others: a fit read back is the fit that would be
+    computed.  Through `Analysis.at` the table serves every row vector of
+    the representation, so each distinct family is fitted once.
     """
 
     def __init__(self, rep: series.LinRep, powers: dict | None = None):
@@ -125,12 +116,12 @@ class _Family:
             self.powers[key] = self.powers.setdefault(("value", last, value), word)
         return self.powers[key]
 
-    def grid_values(self, pattern: PumpingPattern, start: int, d: int, scale: int):
-        """f(alpha_0 w_1^{scale x_1} ... w_l^{scale x_l} alpha_l) at x = start + t
-        for t in `exact.simplex_points(l, d)`, in that order.
+    def grid_values(self, pattern: PumpingPattern, start: int, d: int):
+        """f(alpha_0 w_1^{x_1} ... w_l^{x_l} alpha_l) at x = start + t for t
+        in `exact.simplex_points(l, d)`, in that order.
 
-        Each pump is entered at v mu(w)^{scale start} and stepped by one
-        product with mu(w)^scale while the budget d - t_1 - ... - t_j lasts;
+        Each pump is entered at v mu(w)^start and stepped by one product
+        with mu(w) while the budget d - t_1 - ... - t_j lasts;
         the last pump and connector are folded into F, one column per
         exponent, so a point costs one dot product.
         """
@@ -140,8 +131,8 @@ class _Family:
         if ell == 0:
             return [sum(map(operator.mul, u, self.rep.F))]
         g = self.matrix(alphas[-1])[0].matvec(self.rep.F) if alphas[-1] else self.rep.F
-        g = self.matrix(pumps[-1], scale * start)[0].matvec(g)
-        last_step = self.matrix(pumps[-1], scale)[0]
+        g = self.matrix(pumps[-1], start)[0].matvec(g)
+        last_step = self.matrix(pumps[-1])[0]
         columns = [g]
         for _ in range(d):
             columns.append(last_step.matvec(columns[-1]))
@@ -151,8 +142,8 @@ class _Family:
             if j == ell - 1:
                 out.extend(sum(map(operator.mul, u, g)) for g in columns[:budget + 1])
                 return
-            u = self.matrix(pumps[j], scale * start)[1].matvec(u)
-            step = self.matrix(pumps[j], scale)[1]
+            u = self.matrix(pumps[j], start)[1].matvec(u)
+            step = self.matrix(pumps[j])[1]
             alpha = alphas[j + 1]
             connector = self.matrix(alpha)[1] if alpha else None
             for t in range(budget + 1):
@@ -164,49 +155,49 @@ class _Family:
         del walk   # it refers to itself: free its cycle (and the family) now, not at a full gc
         return out
 
-    def settles(self, pump, scale: int, x0: int) -> bool:
-        """Whether N^x0 (N - I)^e = 0 for an e <= dim, N = mu(pump)^scale, so
-        that N^(x0 + t) = sum_{i < e} C(t, i) N^x0 (N - I)^i for all t >= 0.
-        It does for x0 >= k + 1 when the pump is idempotent in the product
-        monoid of a level-k function: mu(pump) then has only the eigenvalues
-        0 and 1, in Jordan blocks of size at most k + 1."""
-        key = ("settles", self.ident(pump), scale, x0)
+    def settles(self, pump, x0: int) -> bool:
+        """Whether N^x0 (N - I)^e = 0 for an e <= dim, N = mu(pump), so that
+        N^(x0 + t) = sum_{i < e} C(t, i) N^x0 (N - I)^i for all t >= 0.  It
+        does for x0 >= dim when N has only the eigenvalues 0 and 1, and for
+        x0 >= k + 1 when the pump is also idempotent in the product monoid
+        of a level-k function (Jordan blocks of size at most k + 1)."""
+        key = ("settles", self.ident(pump), x0)
         if key not in self.powers:
-            n, p = self.matrix(pump, scale)[0], self.matrix(pump, scale * x0)[0]
+            n, p = self.matrix(pump)[0], self.matrix(pump, x0)[0]
             for _ in range(n.nrows):
                 p = p if p.is_zero() else p * n - p
             self.powers[key] = p.is_zero()
         return self.powers[key]
 
-    def fit(self, pattern: PumpingPattern, k: int, scale: int = 1):
+    def fit(self, pattern: PumpingPattern, k: int):
         """(x0, Newton coefficients Delta^i at x0 for |i| <= k) of the family.
 
         When every pump settles at x0, the family is a polynomial on x >= x0,
         of total degree at most k if k bounds the growth of the series (as
         the level of f does), so the simplex x0 + {|t| <= k}, the only values
-        read, fixes it.  x0 = 2(k+1) is doubled once if a pump does not
-        settle, then PatternVerificationError is raised."""
+        read, fixes it.  x0 = 2(k+1) is tried, then max(4(k+1), dim) (see
+        `settles`), then PatternVerificationError is raised."""
         alpha = pattern.alphas[0]
         u = self.matrix(alpha)[1].matvec(self.rep.I) if alpha else self.rep.I
-        key = (k, scale, u, self.ident(pattern.alphas[-1], True),
+        key = (k, u, self.ident(pattern.alphas[-1], True),
                *map(self.ident, (*pattern.pumps, *pattern.alphas[1:-1])))
         if key in self.powers:
             return self.powers[key]
-        for x0 in (2 * (k + 1), 4 * (k + 1)):
-            if all(self.settles(w, scale, x0) for w in pattern.pumps):
-                values = self.grid_values(pattern, x0, k, scale)
+        for x0 in (2 * (k + 1), max(4 * (k + 1), self.rep.dim)):
+            if all(self.settles(w, x0) for w in pattern.pumps):
+                values = self.grid_values(pattern, x0, k)
                 self.powers[key] = x0, newton_coefficients(values, pattern.size, k)
                 return self.powers[key]
         raise PatternVerificationError("a pump of %r does not settle" % (pattern,))
 
-    def polynomial(self, pattern: PumpingPattern, k: int, scale: int = 1) -> MPoly:
-        x0, coeffs = self.fit(pattern, k, scale)
+    def polynomial(self, pattern: PumpingPattern, k: int) -> MPoly:
+        x0, coeffs = self.fit(pattern, k)
         return newton_to_mpoly(coeffs, pattern.size, k, x0)
 
 
 def pattern_polynomial(f: Cplc, pattern: PumpingPattern, rep=None) -> MPoly:
     """The exact polynomial giving f on the pumping family for all
-    exponents from x0 on, certified and fitted by `_Family.fit` at k the
+    exponents from x0 on, checked and fitted by `_Family.fit` at k the
     level of f."""
     if rep is None:
         rep = series.minimize(f.to_linrep())
@@ -242,45 +233,15 @@ def _words_up_to(letters, max_len, include_empty):
     return out
 
 
-def _grid(pumps, connectors, size):
-    """The patterns alpha_0 w_1 ... w_size alpha_size with pump words w_i
-    and connectors alpha_i, pumps varying slowest."""
+def _exhaustive_patterns(alphabet, size, budget: SearchBudget):
+    """The patterns alpha_0 w_1 ... w_size alpha_size over the budget's pump
+    words and connectors, pumps varying slowest."""
+    letters = list(alphabet.letters)
+    pumps = _words_up_to(letters, budget.pump_len, include_empty=False)
+    connectors = _words_up_to(letters, budget.connector_len, include_empty=True)
     return (PumpingPattern(alpha_combo, pump_combo)
             for pump_combo in itertools.product(pumps, repeat=size)
             for alpha_combo in itertools.product(connectors, repeat=size + 1))
-
-
-def _exhaustive_patterns(alphabet, size, budget: SearchBudget):
-    letters = list(alphabet.letters)
-    return _grid(_words_up_to(letters, budget.pump_len, include_empty=False),
-                 _words_up_to(letters, budget.connector_len, include_empty=True),
-                 size)
-
-
-def _certified_patterns(f: Cplc, size, morphism, budget: SearchBudget):
-    """Complete pattern source for certified mode.
-
-    `forests.simon_forest` proves depth <= 3|M| for every word (module
-    docstring there); with d = 3|M| + ceil(log2(2k+3)) + 1 the pump words
-    are a superset of the depth-<=d skeleton yields (all words up to length
-    2^(d-1) with idempotent image), and connectors are shortest preimages
-    of all monoid elements."""
-    m = morphism.monoid
-    d = 3 * m.size + math.ceil(math.log2(2 * f.level + 3)) + 1
-    max_pump = 2 ** (d - 1)
-    letters = list(f.alphabet.letters)
-    n_words = 0
-    for j in range(1, max_pump + 1):
-        n_words += len(letters) ** j
-        if n_words > budget.certified_cap:
-            raise CertifiedInfeasible(
-                "certified enumeration needs more than %d pump candidates "
-                "(cap %d)" % (budget.certified_cap, budget.certified_cap))
-    pumps = [w for w in _words_up_to(letters, max_pump, include_empty=False)
-             if m.is_idempotent(morphism.image(w))]
-    preimages = (morphism.shortest_preimage(x) for x in range(m.size))
-    connectors = sorted({w for w in preimages if w is not None})
-    return _grid(pumps, connectors, size)
 
 
 # ---------------------------------------------------------------------------
@@ -304,14 +265,15 @@ class _Patterns:
     distinct pattern it has produced, so a later search replays them before
     it reads further.  The product monoid, the sample words, each pump's
     normalization and each sample word's forest are made once, on first
-    use, and shared by every stream."""
+    use, and shared by every stream; of a forest only what a harvest reads
+    is kept (`forests.extract_patterns`)."""
 
     def __init__(self, f: Cplc, budget: SearchBudget):
         self.f = f
         self.budget = budget
         self.streams = {}    # pump count -> (patterns read so far, their source)
         self.omegas = {}     # pump word -> its idempotent power
-        self.forests = {}    # sample word -> (its forest, the forest's skeleton analysis)
+        self.forests = {}    # sample word -> what a harvest reads of its forest
 
     @functools.cached_property
     def morphism(self):
@@ -405,7 +367,7 @@ def analysis_for(f: Cplc, budget: SearchBudget | None, an: Analysis | None) -> A
 
 
 def growth_degree(f: Cplc, budget: SearchBudget | None = None,
-                  mode: str = "budgeted", rep: Analysis | None = None) -> GrowthVerdict:
+                  rep: Analysis | None = None) -> GrowthVerdict:
     """The polynomial growth degree of f, searched from below.
 
     -1 means the zero function (decided exactly); a verdict of k with
@@ -415,25 +377,18 @@ def growth_degree(f: Cplc, budget: SearchBudget | None = None,
     different `budget` beside it is an error.  Patterns are read lazily, as
     the module docstring describes.
     """
-    if mode not in ("budgeted", "certified"):
-        raise ValueError("unknown mode %r" % mode)
     an = analysis_for(f, budget, rep)
     budget = an.budget
     if not any(an.rep.I):
-        return GrowthVerdict(-1, mode, False)
+        return GrowthVerdict(-1, False)
     k_max = f.level
     if k_max == 0:
-        return GrowthVerdict(0, mode, False)
+        return GrowthVerdict(0, False)
 
-    if mode == "certified":
-        patterns = itertools.chain.from_iterable(
-            _distinct_normalized(_certified_patterns(f, size, an.patterns.morphism, budget),
-                                 an.patterns.omega) for size in range(k_max, 0, -1))
-    else:
-        patterns = itertools.islice(
-            itertools.chain.from_iterable(an.patterns.stream(size)
-                                          for size in range(k_max, 0, -1)),
-            budget.max_patterns)
+    patterns = itertools.islice(
+        itertools.chain.from_iterable(an.patterns.stream(size)
+                                      for size in range(k_max, 0, -1)),
+        budget.max_patterns)
     best_degree = 0
     witness = None
     witness_fit = None
@@ -447,9 +402,8 @@ def growth_degree(f: Cplc, budget: SearchBudget | None = None,
             witness = norm
             witness_fit = coeffs, norm.size, k_max, x0
         if best_degree == k_max:
-            return GrowthVerdict(best_degree, mode, False, witness, witness_fit, tried)
-    exhausted = (mode == "budgeted" and best_degree < k_max)
-    return GrowthVerdict(best_degree, mode, exhausted, witness, witness_fit, tried)
+            return GrowthVerdict(best_degree, False, witness, witness_fit, tried)
+    return GrowthVerdict(best_degree, best_degree < k_max, witness, witness_fit, tried)
 
 
 # ---------------------------------------------------------------------------
@@ -457,8 +411,7 @@ def growth_degree(f: Cplc, budget: SearchBudget | None = None,
 
 
 def equiv_mod_k(f: Cplc, g: Cplc, k: int,
-                budget: SearchBudget | None = None,
-                mode: str = "budgeted", rep: Analysis | None = None) -> bool:
+                budget: SearchBudget | None = None, rep: Analysis | None = None) -> bool:
     """Whether f - g has growth degree at most k (k = -1 means equality).
 
     `rep` is an Analysis of f - g, as growth_degree takes it.  Raises
@@ -472,7 +425,7 @@ def equiv_mod_k(f: Cplc, g: Cplc, k: int,
         return series.minimize(h.to_linrep() if rep is None else rep.rep).dim == 0
     if h.level <= k:
         return True
-    verdict = growth_degree(h, budget, mode, rep)
+    verdict = growth_degree(h, budget, rep)
     if verdict.degree > k:
         return False
     if verdict.degree == -1 or not verdict.budget_exhausted:
@@ -496,8 +449,9 @@ class UltimatePolyReport:
 
 def ultimate_poly_check(f: Cplc, patterns, step: int = 1, rep=None):
     """For each pattern, test whether X |-> f(... w_i^{step * X_i} ...) is
-    ultimately polynomial, without normalizing the pump words, by the exact
-    sufficient condition of `_Family.fit`: every mu(w_i)^step settles.
+    ultimately polynomial, without normalizing the pump words: it is the
+    family of the pump words w_i^step, fitted by `_Family.fit` when every
+    mu(w_i)^step settles.
 
     With step 1 this fails on functions that are only polynomial along
     idempotent subsequences (the classical (-1)^n n example); a suitable
@@ -507,9 +461,10 @@ def ultimate_poly_check(f: Cplc, patterns, step: int = 1, rep=None):
     family = _Family(rep)
     out = []
     for pattern in patterns:
+        stepped = PumpingPattern(pattern.alphas, tuple(w * step for w in pattern.pumps))
         try:
             out.append(UltimatePolyReport(pattern, step, True,
-                                          family.polynomial(pattern, f.level, step)))
+                                          family.polynomial(stepped, f.level)))
         except PatternVerificationError:
             out.append(UltimatePolyReport(pattern, step, False))
     return out

@@ -13,8 +13,7 @@ import json
 import sys
 
 from . import analysis, canon, cplc, forests, lang, mso, series
-from .analysis import (BudgetExhausted, CertifiedInfeasible, PatternVerificationError,
-                       SearchBudget)
+from .analysis import BudgetExhausted, PatternVerificationError, SearchBudget
 from .canon import StateBudgetExceeded, UncertainConstruction
 from .exact import char_poly
 
@@ -44,8 +43,8 @@ GROWTH_QUESTIONS = ("growth", "pump", "rt", "starfree")
 
 
 # Library errors that leave a question open within the budget (exit 2).
-UNDECIDED = (BudgetExhausted, CertifiedInfeasible, PatternVerificationError,
-             UncertainConstruction, StateBudgetExceeded, lang.MonoidTooLarge,
+UNDECIDED = (BudgetExhausted, PatternVerificationError, UncertainConstruction,
+             StateBudgetExceeded, lang.MonoidTooLarge,
              RecursionError)   # star_free bounds its recursion depth
 
 
@@ -225,8 +224,7 @@ def cmd_equiv(args) -> int:
 def cmd_growth(args) -> int:
     kind, value = load_function(args.input)
     f = need_cplc(kind, value, "growth")
-    mode = "certified" if args.certified else "budgeted"
-    verdict = analysis.growth_degree(f, make_budget(args), mode)
+    verdict = analysis.growth_degree(f, make_budget(args))
     print("degree %d%s" % (verdict.degree,
                            " (budget exhausted: lower bound only)"
                            if verdict.budget_exhausted else ""))
@@ -389,7 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("growth", help="compute the polynomial growth degree")
     p.add_argument("input")
-    p.add_argument("--certified", action="store_true")
     add_budget_flags(p)
     p.set_defaults(func=cmd_growth)
 

@@ -381,19 +381,37 @@ def to_dot(root: ForestNode) -> str:
 # pumping-pattern extraction
 
 
+def _harvest_candidates(morphism: MonoidMorphism, word: tuple):
+    """What a harvest reads of the forest of `word`: the skeleton owners that
+    are not the root and touch neither end of the word, in uid order, as
+    (start, end, skeleton yield), and the index pairs (i, j), i < j, of
+    those where one observes the other, as an ancestor does."""
+    root = simon_forest(morphism, word)
+    analysis = skeleton_analysis(root)
+    nodes = [analysis.nodes[u] for u in sorted({analysis.skel_root[u] for u in analysis.leaves()})
+             if u != root.uid and analysis.nodes[u].start > 1 and analysis.nodes[u].end < len(word)]
+    observing = {(i, j) for i, j in itertools.combinations(range(len(nodes)), 2)
+                 if observes(analysis, nodes[i].uid, nodes[j].uid)
+                 or observes(analysis, nodes[j].uid, nodes[i].uid)}
+    return [(n.start, n.end, tuple(t.letter for t in sorted(map(analysis.node, skeleton(n)),
+                                                            key=lambda t: t.start) if t.is_leaf))
+            for n in nodes], observing
+
+
 def extract_patterns(f: Cplc, sample_words, k: int, cap: int = 200,
                      seed: int = 0, morphism=None, forests=None):
     """Pumping patterns of size k harvested from factorization forests of
     the sample words under the product-monoid morphism of f, generated
     lazily: the forest of a sample word is built only when the patterns of
     the words before it have all been read, and a repeated pattern is
-    skipped.  `forests` maps sample words to their (forest, skeleton
-    analysis); it is read and filled, so harvests can share forests.
+    skipped.  `forests` maps sample words to what a harvest reads of their
+    forests (`_harvest_candidates`); it is read and filled, so harvests can
+    share that work.
 
     A pattern comes from k pairwise independent skeleton owners: none is the
     root, they neither observe each other nor touch the word boundary, and
-    their spans are disjoint in order.  The pump words are the skeleton
-    yields, the connectors the remaining stretches of the sample word.
+    so their spans are disjoint.  The pump words are the skeleton yields,
+    the connectors the remaining stretches of the sample word.
     """
     if morphism is None:
         _, morphism = product_monoid(f)
@@ -405,31 +423,19 @@ def extract_patterns(f: Cplc, sample_words, k: int, cap: int = 200,
         if not word:
             continue
         if word not in forests:
-            forests[word] = (root := simon_forest(morphism, word)), skeleton_analysis(root)
-        root, analysis = forests[word]
-        owners = sorted({analysis.skel_root[u] for u in analysis.leaves()})
-        candidates = [u for u in owners if u != root.uid
-                      and analysis.nodes[u].start > 1 and analysis.nodes[u].end < len(word)]
-        tuples = []
-        for combo in itertools.combinations(candidates, k):
-            nodes = sorted((analysis.nodes[u] for u in combo), key=lambda n: n.start)
-            if any(nodes[i].end >= nodes[i + 1].start for i in range(k - 1)):
-                continue
-            if any(observes(analysis, a.uid, b.uid) or observes(analysis, b.uid, a.uid)
-                   for a, b in itertools.combinations(nodes, 2)):
-                continue
-            tuples.append(nodes)
-            if len(tuples) >= 4 * cap:
-                break
+            forests[word] = _harvest_candidates(morphism, word)
+        candidates, observing = forests[word]
+        tuples = list(itertools.islice(
+            (sorted(candidates[i] for i in combo)
+             for combo in itertools.combinations(range(len(candidates)), k)
+             if not any(pair in observing for pair in itertools.combinations(combo, 2))),
+            4 * cap))
         if len(tuples) > cap:
             tuples = rng.sample(tuples, cap)
-        for nodes in tuples:
-            ends = [0] + [n.end for n in nodes]
-            alphas = [word[e:n.start - 1] for e, n in zip(ends, nodes)] + [word[ends[-1]:]]
-            pumps = [tuple(t.letter for t in sorted(map(analysis.node, skeleton(n)),
-                                                     key=lambda t: t.start) if t.is_leaf)
-                     for n in nodes]
-            pat = PumpingPattern(tuple(alphas), tuple(pumps))
+        for spans in tuples:
+            ends = [0] + [end for _, end, _ in spans]
+            alphas = [word[e:s - 1] for e, (s, _, _) in zip(ends, spans)] + [word[ends[-1]:]]
+            pat = PumpingPattern(tuple(alphas), tuple(pump for _, _, pump in spans))
             if pat not in seen:
                 seen.add(pat)
                 yield pat

@@ -7,12 +7,11 @@ from conftest import words_up_to
 from zpoly import forests
 from zpoly.cplc import PumpingPattern, constant_cplc, indicator_cplc, product_monoid, zero_cplc
 from zpoly.lang import Alphabet, FiniteMonoid, compile_regex
-from zpoly.analysis import (Analysis, BudgetExhausted, CertifiedInfeasible, SearchBudget,
+from zpoly.analysis import (Analysis, BudgetExhausted, SearchBudget,
                             _exhaustive_patterns, equiv_mod_k, growth_degree,
                             normalize_pattern, pattern_polynomial, ultimate_poly_check)
 
 AB = Alphabet(["a", "b"])
-A1 = Alphabet(["a"])
 
 
 # ---------------------------------------------------------------------------
@@ -212,26 +211,3 @@ def test_an_analysis_brings_its_budget(wa):
     with pytest.raises(ValueError, match="differs from the analysis"):
         equiv_mod_k(wa, wa.scale(2), 0, SearchBudget(), rep=Analysis.of(wa.scale(-1), an.budget))
 
-
-# ---------------------------------------------------------------------------
-# certified mode
-
-
-def test_certified_mode_small_monoid():
-    """w -> |w| + 1 over a unary alphabet has a 3-element product monoid,
-    small enough for the complete enumeration."""
-    f = indicator_cplc(compile_regex("a*", A1)).cauchy(
-        indicator_cplc(compile_regex("a*", A1)))
-    v = growth_degree(f, SearchBudget(), mode="certified")
-    assert v.degree == 1 and not v.budget_exhausted and v.mode == "certified"
-
-
-def test_certified_mode_infeasible(product_counts):
-    budget = SearchBudget(certified_cap=1000)
-    with pytest.raises(CertifiedInfeasible):
-        growth_degree(product_counts, budget, mode="certified")
-
-
-def test_unknown_mode_rejected(wa):
-    with pytest.raises(ValueError):
-        growth_degree(wa, mode="heuristic")

@@ -380,7 +380,7 @@ def test_malformed_json_letters_exit_3(files, capsys, payload, argv):
 def test_pattern_verification_error_is_undecided(files, capsys, monkeypatch):
     from zpoly import analysis
 
-    def unstable(self, pattern, k, scale=1):
+    def unstable(self, pattern, k):
         raise analysis.PatternVerificationError("family did not stabilize")
 
     monkeypatch.setattr(analysis._Family, "fit", unstable)
@@ -419,7 +419,8 @@ def test_mod_minus_one_still_means_exact(files, capsys):
     assert run(capsys, "equiv", f, g, "--mod", "-1")[0] == 1
 
 
-@pytest.mark.parametrize("argv", [["growth"], ["growth", "x.zexpr", "--bogus"], ["nope"],
+@pytest.mark.parametrize("argv", [["growth"], ["growth", "x.zexpr", "--bogus"],
+                                  ["growth", "x.zexpr", "--certified"], ["nope"],
                                   ["spectrum", "x.zexpr", "--samples", "many"]])
 def test_usage_errors_exit_3(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -440,19 +441,6 @@ def test_monoid_too_large_is_undecided(files, capsys, monkeypatch):
     path = files("wa.zexpr", COUNT_A_ZEXPR)
     code, out, _ = run(capsys, "growth", path)
     assert code == 2 and "undecided: monoid closure exceeded" in out
-
-
-def test_certified_infeasible_outside_growth_is_undecided(files, capsys, monkeypatch):
-    from zpoly import analysis
-
-    def infeasible(f, budget=None, mode="budgeted", rep=None):
-        raise analysis.CertifiedInfeasible("needs more than 5 pump candidates")
-
-    monkeypatch.setattr(analysis, "growth_degree", infeasible)
-    path = files("wa.zexpr", COUNT_A_ZEXPR)
-    for command in ("pump", "starfree"):
-        code, out, _ = run(capsys, command, path)
-        assert code == 2 and "undecided: needs more than 5" in out
 
 
 def test_star_free_recursion_limit_is_undecided(files, capsys, monkeypatch):

@@ -5,6 +5,7 @@ function and class, and every method, defined in src/zpoly is named
 somewhere in src/, tests/ or bench/ (dunder methods are called by the
 language and are exempt; `__init__.py` re-exports through `__all__`).
 No module reads a `_`-prefixed name of another module of the package.
+Every `SearchBudget` field is read somewhere in src/zpoly.
 """
 
 import ast
@@ -116,3 +117,15 @@ def test_no_module_reads_a_private_name_of_another(path):
                 and node.value.id in modules and is_private(node.attr)):
             private.append("%s.%s (line %d)" % (node.value.id, node.attr, node.lineno))
     assert not private, "%s reads private names: %s" % (path.name, ", ".join(private))
+
+
+def test_every_search_budget_field_is_read():
+    """Each `SearchBudget` field is read as an attribute somewhere in
+    src/zpoly, so no budget knob is left without a reader."""
+    [budget] = [node for node in parse(PACKAGE / "analysis.py").body
+                if isinstance(node, ast.ClassDef) and node.name == "SearchBudget"]
+    fields = [item.target.id for item in budget.body if isinstance(item, ast.AnnAssign)]
+    read = {node.attr for path in MODULES for node in ast.walk(parse(path))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [name for name in fields if name not in read]
+    assert fields and not unread, "SearchBudget fields read nowhere: %s" % ", ".join(unread)
