@@ -9,25 +9,27 @@ give its Newton forward differences (`_Family.fit`).  The level bounds the
 degree, so a witness of degree k settles the question; otherwise the
 verdict carries a budget_exhausted flag.
 
-For each number of pumps, from the level down, the search reads one lazy
-stream of patterns: the grid of short pump words and connectors, then the
-patterns harvested from factorization forests of sample words, so a forest
-is built only when the search reaches its word.  Pumps are raised to the
-idempotent power omega of the product monoid, and a pattern seen before
+For each number of pumps, from the level down, the search reads its own
+lazy stream of patterns: the grid of short pump words and connectors, then
+the patterns harvested from factorization forests of sample words, so a
+forest is built only when a search reaches its word.  Pumps are raised to
+the idempotent power omega of the product monoid, and a pattern seen before
 is skipped.  `SearchBudget.max_patterns` caps the patterns a search reads,
 over all pump counts.
 
 An `Analysis` of f holds what every search about f reads: its minimal
-representation (I, mu, F), its product monoid, one memoized pattern stream
-per pump count and one table of matrix powers and fits, each fit keyed on
-its family's matrices (see `_Family`).  An analysis lives for one question,
-such as `canon.residual_transducer(f, k)`, whose merges each search a
-difference h of two residuals of f at h's row vector in f's representation
-(`Analysis.at`).  Those searches read f's monoid and patterns instead of
-h's: every factor DFA of h is a factor of f or a residual of one, so h's
-product monoid is a quotient of f's (see the `canon` docstring).  An
-f-idempotent pump is therefore h-idempotent, and a forest under f's
-morphism is also a forest under h's.
+representation (I, mu, F), its product monoid, each pump word's omega,
+what the harvest reads of each sample word's forest, and one table of
+matrix powers and fits, each fit keyed on its family's matrices (see
+`_Family`).  An analysis lives for one question,
+`canon.residual_transducer(f, k)` or `canon.star_free(f)`, whose searches
+run at row vectors of f's representation (`Analysis.at`): the difference
+of two residuals at a merge, or a transition label, each an integer
+combination h of residuals of f.  Those searches read f's monoid and
+patterns instead of h's: every factor DFA of h is a factor of f or a
+residual of one, so h's product monoid is a quotient of f's (see the
+`canon` docstring).  An f-idempotent pump is therefore h-idempotent, and
+a forest under f's morphism is also a forest under h's.
 """
 
 from __future__ import annotations
@@ -248,30 +250,18 @@ def _exhaustive_patterns(alphabet, size, budget: SearchBudget):
 # the analysis of one question
 
 
-def _distinct_normalized(patterns, omega):
-    """The distinct patterns with each pump w replaced by omega(w)."""
-    seen = set()
-    for pattern in patterns:
-        norm = PumpingPattern(pattern.alphas, tuple(map(omega, pattern.pumps)))
-        if norm not in seen:
-            seen.add(norm)
-            yield norm
-
-
 class _Patterns:
-    """The normalized patterns of f, one memoized stream per pump count.
+    """The normalized patterns of f, streamed per pump count.
 
-    A stream reads the grid, then the forest harvest, and keeps every
-    distinct pattern it has produced, so a later search replays them before
-    it reads further.  The product monoid, the sample words, each pump's
-    normalization and each sample word's forest are made once, on first
-    use, and shared by every stream; of a forest only what a harvest reads
-    is kept (`forests.extract_patterns`)."""
+    Each search reads a stream of its own: the grid, then the forest
+    harvest, with every pump w replaced by omega(w) and repeats skipped.
+    The product monoid, the sample words, each pump's omega and what a
+    harvest reads of each sample word's forest (`forests.extract_patterns`)
+    are made once, on first use, and shared by every stream."""
 
     def __init__(self, f: Cplc, budget: SearchBudget):
         self.f = f
         self.budget = budget
-        self.streams = {}    # pump count -> (patterns read so far, their source)
         self.omegas = {}     # pump word -> its idempotent power
         self.forests = {}    # sample word -> what a harvest reads of its forest
 
@@ -305,18 +295,14 @@ class _Patterns:
                                             morphism=self.morphism, forests=self.forests)
 
     def stream(self, size: int):
-        if size not in self.streams:
-            source = itertools.chain(_exhaustive_patterns(self.f.alphabet, size, self.budget),
-                                     self._harvest(size))
-            self.streams[size] = ([], _distinct_normalized(source, self.omega))
-        read, source = self.streams[size]
-        for i in itertools.count():
-            if i == len(read):
-                pattern = next(source, None)
-                if pattern is None:
-                    return
-                read.append(pattern)
-            yield read[i]
+        """The distinct normalized patterns with `size` pumps, read lazily."""
+        seen = set()
+        for pattern in itertools.chain(_exhaustive_patterns(self.f.alphabet, size, self.budget),
+                                       self._harvest(size)):
+            norm = PumpingPattern(pattern.alphas, tuple(map(self.omega, pattern.pumps)))
+            if norm not in seen:
+                seen.add(norm)
+                yield norm
 
 
 @dataclass(frozen=True)
@@ -324,8 +310,8 @@ class Analysis:
     """What the growth searches of one question read about f, as the module
     docstring describes: `family` evaluates a minimal representation of f
     (or, after `at`, of a row vector in it) and `patterns` streams f's
-    patterns under f's budget.  The analysis keeps every pattern, matrix
-    power and fit read so far: drop it with its question."""
+    patterns under f's budget.  The analysis keeps every normalization,
+    forest, matrix power and fit read so far: drop it with its question."""
 
     family: _Family
     patterns: _Patterns
@@ -352,16 +338,6 @@ class Analysis:
                         self.patterns)
 
 
-def analysis_for(f: Cplc, budget: SearchBudget | None, an: Analysis | None) -> Analysis:
-    """`an`, or a new Analysis of f under `budget` when `an` is None.  A
-    budget given beside an analysis must be the analysis's own."""
-    if an is None:
-        return Analysis.of(f, budget)
-    if budget is not None and budget != an.budget:
-        raise ValueError("budget %r differs from the analysis's %r" % (budget, an.budget))
-    return an
-
-
 # ---------------------------------------------------------------------------
 # growth degree
 
@@ -377,7 +353,9 @@ def growth_degree(f: Cplc, budget: SearchBudget | None = None,
     different `budget` beside it is an error.  Patterns are read lazily, as
     the module docstring describes.
     """
-    an = analysis_for(f, budget, rep)
+    an = Analysis.of(f, budget) if rep is None else rep
+    if budget is not None and budget != an.budget:
+        raise ValueError("budget %r differs from the analysis's %r" % (budget, an.budget))
     budget = an.budget
     if not any(an.rep.I):
         return GrowthVerdict(-1, False)

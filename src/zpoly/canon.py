@@ -10,12 +10,15 @@ successive suffixes plus the output of the final state.
 Merges are decided on the row vectors I mu(w) of one minimal representation
 of f, which determine the residuals f|_w: equal vectors merge, and at k >= 1
 the growth search evaluates a nonzero difference from its vector.  One
-`analysis.Analysis` of f serves every merge of a question: a question is
-`residual_transducer(f, k)`, or `star_free(f)` and each transition label it
-recurses into, and the analysis is dropped when the question ends.  Each
-merge search on a difference h = f|_{ua} - f|_v reads f's minimal
-representation, f's product monoid, f's pattern streams and f's table of
-matrix powers, and builds none of its own.
+`analysis.Analysis` of f serves a whole question, `residual_transducer(f,
+k)` or `star_free(f)`, and is dropped when the question ends.  Each search
+of the question runs on a function h at its row vector in f's
+representation: a difference h = f|_{ua} - f|_v at a merge, or a
+transition label that `star_free` recurses into, at the vector
+v_q mu(a) - v_delta(q,a) of its state vectors (its own labels are again
+integer combinations of residuals of f).  It reads f's minimal
+representation, f's product monoid, f's patterns and f's table of matrix
+powers, and builds none of its own.
 
 Why f's monoid serves h.  A term of a residual f|_x is a term of f whose
 first factor L is replaced by x^{-1}L, with epsilon split off; the
@@ -23,18 +26,20 @@ canonical DFA of that factor is the part of L's DFA reachable from the
 state reached by x, minimized, and its transition monoid is a quotient of
 L's.  The epsilon split adds nothing that the shared letter tracker does
 not see, since it tells the empty word from every other.  So every factor
-of h is a factor of f or such a residual of one, and h's product monoid,
-the product of its factors' transition monoids and the tracker, is a
-quotient of f's: words with the same image under f's morphism have the
-same image under h's.  Hence an f-idempotent pump is h-idempotent, and a
-factorization forest under f's morphism is also one under h's, so every
-pattern f's search reads is a pattern h's search could read.
+of an integer combination h of residuals of f is a factor of f or such a
+residual of one, and h's product monoid, the product of its factors'
+transition monoids and the tracker, is a quotient of f's: words with the
+same image under f's morphism have the same image under h's.  Hence an
+f-idempotent pump is h-idempotent, and a factorization forest under f's
+morphism is also one under h's, so every pattern f's search reads is a
+pattern h's search could read.
 
 Star-freeness is decided by induction on the growth degree: at degree <= 0
 the function has finitely many residuals and the question reduces to
-aperiodicity of its minimal automaton; at degree k >= 1 the function is
-star-free iff its k-residual transducer is counter-free and every
-transition label is star-free.
+aperiodicity of its minimal automaton, the 0-residual transducer, whose
+labels are all zero; at degree k >= 1 the function is star-free iff its
+k-residual transducer is counter-free and every transition label is
+star-free.
 """
 
 from __future__ import annotations
@@ -120,21 +125,25 @@ class ResidualTransducer:
         return "\n".join(lines)
 
 
-def residual_transducer(f: Cplc, k: int,
-                        budget: SearchBudget | None = None,
-                        max_states: int = 64, _analysis=None) -> ResidualTransducer:
+def residual_transducer(f: Cplc, k: int, budget: SearchBudget | None = None,
+                        max_states: int = 64) -> ResidualTransducer:
     """Algorithm: breadth-first shortlex exploration of residuals modulo
     growth degree k-1.  In a minimal representation (I, mu, F) of f the
     residual f|_u is the series of the row vector I mu(u), and distinct
     vectors give distinct series; a nonzero difference dv of two vectors is
     tested with equiv_mod_k on the analysis of f at dv (module docstring).
-    `_analysis` is an analysis of f that star_free has already built
-    (under `budget`, when one is given).
 
     Raises UncertainConstruction if any merge test runs out of budget, and
     StateBudgetExceeded if more than max_states classes appear.
     """
-    an = analysis.analysis_for(f, budget, _analysis)
+    return _machine(f, k, analysis.Analysis.of(f, budget), max_states)[0]
+
+
+def _machine(f: Cplc, k: int, an: analysis.Analysis, max_states: int = 64):
+    """The k-residual transducer of f and the row vector of each state,
+    where f is the series of `an.rep`: f's own analysis, or, for a
+    transition label, the analysis of an outer function at the label's
+    vector."""
     rep = an.rep
     state_words = [()]
     residuals = [f]
@@ -174,7 +183,7 @@ def residual_transducer(f: Cplc, k: int,
             delta[key] = target
             labels[key] = g.sub(residuals[target])
     outputs = [r.eval_at_epsilon() for r in residuals]
-    return ResidualTransducer(f.alphabet, k, state_words, delta, labels, outputs)
+    return ResidualTransducer(f.alphabet, k, state_words, delta, labels, outputs), vectors
 
 
 # ---------------------------------------------------------------------------
@@ -225,47 +234,42 @@ class StarFreeVerdict:
     trace: list = field(default_factory=list)
 
 
-def star_free(f: Cplc, budget: SearchBudget | None = None,
-              _depth: int = 0) -> StarFreeVerdict:
-    """Decide star-freeness by induction on the growth degree."""
-    budget = budget or SearchBudget()
-    if _depth > 16:
+def star_free(f: Cplc, budget: SearchBudget | None = None) -> StarFreeVerdict:
+    """Decide star-freeness by induction on the growth degree, in one
+    analysis of f (module docstring)."""
+    return _star_free(f, analysis.Analysis.of(f, budget), 0)
+
+
+def _star_free(f: Cplc, an: analysis.Analysis, depth: int) -> StarFreeVerdict:
+    """star_free of f, the series of `an.rep`, `depth` labels down."""
+    if depth > 16:
         raise RecursionError("star-freeness recursion too deep")
-    an = analysis.Analysis.of(f, budget)
     verdict = analysis.growth_degree(f, rep=an)
     k = verdict.degree
-    if k <= 0 and verdict.budget_exhausted:
-        raise UncertainConstruction("growth degree undecided within budget")
-    if k <= 0:
-        # the 0-residual transducer of a bounded function is its minimal
-        # automaton with integer outputs
-        machine = residual_transducer(f, 0, budget, _analysis=an)
-        ok, counter = counter_free(machine)
-        if ok:
-            return StarFreeVerdict(True, "aperiodic minimal automaton",
-                                   trace=[{"degree": k, "states": machine.n_states}])
-        return StarFreeVerdict(False, "minimal automaton has a counter",
-                               witness=counter,
-                               trace=[{"degree": k, "states": machine.n_states}])
     if verdict.budget_exhausted:
         raise UncertainConstruction(
+            "growth degree undecided within budget" if k <= 0 else
             "growth degree only bounded from below (%d) within budget" % k)
-    machine = residual_transducer(f, k, budget, _analysis=an)
+    # at degree <= 0 the machine is f's minimal automaton with integer
+    # outputs: only equal vectors merge, so every label is zero
+    machine, vectors = _machine(f, max(k, 0), an)
     ok, counter = counter_free(machine)
     trace = [{"degree": k, "states": machine.n_states}]
     if not ok:
-        return StarFreeVerdict(False, "%d-residual transducer has a counter" % k,
+        return StarFreeVerdict(False, "minimal automaton has a counter" if k <= 0 else
+                               "%d-residual transducer has a counter" % k,
                                witness=counter, trace=trace)
-    for key in sorted(machine.labels, key=lambda kv: (kv[0], str(kv[1]))):
-        label = machine.labels[key]
-        if not label.terms:
+    for q, a in sorted(machine.labels, key=lambda kv: (kv[0], str(kv[1]))):
+        label = machine.labels[q, a]
+        if k <= 0 or not label.terms:
             continue
-        sub = star_free(label, budget, _depth + 1)
+        v = an.rep.mats[a].vecmat(vectors[q])
+        dv = [x - y for x, y in zip(v, vectors[machine.delta[q, a]])]
+        sub = _star_free(label, an.at(dv), depth + 1)
         trace.extend(sub.trace)
         if not sub.star_free:
             return StarFreeVerdict(
                 False, "transition label (%d, %r) is not star-free: %s"
-                % (key[0], key[1], sub.reason),
-                witness=sub.witness, trace=trace)
-    return StarFreeVerdict(True, "counter-free transducer with star-free labels",
-                           trace=trace)
+                % (q, a, sub.reason), witness=sub.witness, trace=trace)
+    return StarFreeVerdict(True, "aperiodic minimal automaton" if k <= 0 else
+                           "counter-free transducer with star-free labels", trace=trace)

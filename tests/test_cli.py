@@ -133,6 +133,22 @@ def test_growth(files, capsys):
     assert code == 0 and out.startswith("degree 0")
 
 
+def test_a_pump_longer_than_the_budget_is_found_only_by_raising_it(files, capsys):
+    """|w|_aab has degree 1, but a pump w raises it only if ww contains aab,
+    so w has at least 3 letters: the grid's pumps have at most 2 at the
+    default budget and the forest harvest finds none, so the lower bound
+    stays 0 until the pump length allows 3."""
+    f = files("aab.zexpr", "alphabet = a b\nind((a|b)*) . ind(aab(a|b)*)\n")
+    code, out, _ = run(capsys, "growth", f)
+    assert code == 2 and out.startswith("degree 0 (budget exhausted: lower bound only)")
+    code, out, _ = run(capsys, "starfree", f)
+    assert code == 2 and "undecided: growth degree undecided within budget" in out
+    code, out, _ = run(capsys, "growth", f, "--budget-pump-len", "3")
+    assert code == 0 and "witness pattern: _ (aab)^X _" in out and "polynomial: X1" in out
+    code, out, _ = run(capsys, "starfree", f, "--budget-pump-len", "3")
+    assert code == 0 and out.startswith("star-free")
+
+
 def test_growth_rejects_linrep_input(files, capsys):
     """star(-3 * ind(a*a)) is (-2)^n-exponential: a definite no."""
     f = files("geo.zexpr", STAR_ZEXPR)
@@ -446,13 +462,13 @@ def test_monoid_too_large_is_undecided(files, capsys, monkeypatch):
 def test_star_free_recursion_limit_is_undecided(files, capsys, monkeypatch):
     from zpoly import canon
 
-    real = canon.star_free
+    real = canon._star_free
 
-    def shallow(f, budget=None, _depth=0):
+    def shallow(f, an, depth):
         # the first recursion into a transition label is already too deep
-        return real(f, budget, 17 * _depth)
+        return real(f, an, 17 * depth)
 
-    monkeypatch.setattr(canon, "star_free", shallow)
+    monkeypatch.setattr(canon, "_star_free", shallow)
     path = files("wa.zexpr", COUNT_A_ZEXPR)
     code, out, _ = run(capsys, "starfree", path)
     assert code == 2 and "undecided: star-freeness recursion too deep" in out

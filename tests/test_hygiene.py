@@ -5,7 +5,9 @@ function and class, and every method, defined in src/zpoly is named
 somewhere in src/, tests/ or bench/ (dunder methods are called by the
 language and are exempt; `__init__.py` re-exports through `__all__`).
 No module reads a `_`-prefixed name of another module of the package.
-Every `SearchBudget` field is read somewhere in src/zpoly.
+Every `SearchBudget` field is read somewhere in src/zpoly.  No public
+function or method takes a `_`-prefixed parameter: a private knob belongs
+to a private helper, not to the public signature.
 """
 
 import ast
@@ -129,3 +131,26 @@ def test_every_search_budget_field_is_read():
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
     unread = [name for name in fields if name not in read]
     assert fields and not unread, "SearchBudget fields read nowhere: %s" % ", ".join(unread)
+
+
+def public_functions(tree):
+    """(qualified name, node) of the public module-level functions and the
+    public methods (dunder methods included) of public module-level classes."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not is_private(node.name):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef) and not is_private(node.name):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not is_private(item.name):
+                    yield "%s.%s" % (node.name, item.name), item
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_public_function_takes_a_private_parameter(path):
+    found = []
+    for qualified, node in public_functions(parse(path)):
+        a = node.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+        found.extend("%s(%s)" % (qualified, p.arg) for p in params if p.arg.startswith("_"))
+    assert not found, "%s: public functions with private parameters: %s" % (
+        path.name, ", ".join(found))

@@ -1,23 +1,27 @@
 """Differential tests of the residual-transducer kernel.
 
-The oracle below is the original path: every merge test calls equiv_mod_k
-on the two residual Cauchy combinations, which subtracts them, compiles
-the difference to a fresh linear representation and minimizes it.  The
-library minimizes f once and decides each merge on the difference of the
-row vectors I mu(u) of the two residuals in that one representation: a
+The machine oracle below is the original path: every merge test calls
+equiv_mod_k on the two residual Cauchy combinations, which subtracts them,
+compiles the difference to a fresh linear representation and minimizes it.
+The library minimizes f once and decides each merge on the difference of
+the row vectors I mu(u) of the two residuals in that one representation: a
 zero difference is a merge, and at level k >= 1 a nonzero one goes to
 equiv_mod_k with the difference vector as its representation.  Both must
-build the same machines, raise the same exceptions and reach the same
-star-freeness verdicts.
+build the same machines and raise the same exceptions.
 
-The library's merge searches also read f's product monoid and patterns
-instead of each difference's; the property below checks the argument
+The star-freeness oracle decides each transition label in a fresh
+analysis of the label, minimized on its own, with machines from the
+per-merge oracle.  The library decides a whole question in one analysis
+of f, each label at its row vector v_q mu(a) - v_delta(q,a) in f's
+representation; both must reach the same verdicts, reasons, witnesses
+and traces.
+
+The library's searches also read f's product monoid and patterns instead
+of each difference's or label's; the property below checks the argument
 that makes this sound (the `canon` docstring), and the counter tests
 check that one question builds one analysis.
 """
 
-import functools
-import itertools
 import os
 import random
 import sys
@@ -28,10 +32,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import _wa_times_wb, count_a, signed_length, twelve_term_function, words_up_to
-from zpoly import analysis, canon, series
-from zpoly.analysis import BudgetExhausted, SearchBudget, equiv_mod_k
-from zpoly.canon import (ResidualTransducer, StateBudgetExceeded, UncertainConstruction,
-                         residual_transducer, star_free)
+from zpoly import analysis, series
+from zpoly.analysis import BudgetExhausted, SearchBudget, equiv_mod_k, growth_degree
+from zpoly.canon import (ResidualTransducer, StarFreeVerdict, StateBudgetExceeded,
+                         UncertainConstruction, counter_free, residual_transducer, star_free)
 from zpoly.cplc import Cplc, indicator_cplc, product_monoid
 from zpoly.lang import Alphabet, MonoidTooLarge, compile_regex
 
@@ -44,9 +48,7 @@ AB = Alphabet(["a", "b"])
 # the oracle
 
 
-def oracle_residual_transducer(f, k, budget=None, max_states=64, _analysis=None):
-    """`_analysis`, the analysis star_free hands over, is ignored: every
-    merge builds its own."""
+def oracle_residual_transducer(f, k, budget=None, max_states=64):
     budget = budget or SearchBudget()
     state_words = [()]
     residuals = [f]
@@ -80,6 +82,48 @@ def oracle_residual_transducer(f, k, budget=None, max_states=64, _analysis=None)
     return ResidualTransducer(f.alphabet, k, state_words, delta, labels, outputs)
 
 
+def oracle_star_free(f, budget=None, depth=0):
+    """The induction on the growth degree with nothing shared: each
+    function, f and every nonzero transition label, gets a growth search
+    in a fresh analysis of its own and a machine from the per-merge oracle."""
+    if depth > 16:
+        raise RecursionError("star-freeness recursion too deep")
+    verdict = growth_degree(f, budget)
+    k = verdict.degree
+    if k <= 0 and verdict.budget_exhausted:
+        raise UncertainConstruction("growth degree undecided within budget")
+    if k <= 0:
+        machine = oracle_residual_transducer(f, 0, budget)
+        ok, counter = counter_free(machine)
+        trace = [{"degree": k, "states": machine.n_states}]
+        if ok:
+            return StarFreeVerdict(True, "aperiodic minimal automaton", trace=trace)
+        return StarFreeVerdict(False, "minimal automaton has a counter",
+                               witness=counter, trace=trace)
+    if verdict.budget_exhausted:
+        raise UncertainConstruction(
+            "growth degree only bounded from below (%d) within budget" % k)
+    machine = oracle_residual_transducer(f, k, budget)
+    ok, counter = counter_free(machine)
+    trace = [{"degree": k, "states": machine.n_states}]
+    if not ok:
+        return StarFreeVerdict(False, "%d-residual transducer has a counter" % k,
+                               witness=counter, trace=trace)
+    for key in sorted(machine.labels, key=lambda kv: (kv[0], str(kv[1]))):
+        label = machine.labels[key]
+        if not label.terms:
+            continue
+        sub = oracle_star_free(label, budget, depth + 1)
+        trace.extend(sub.trace)
+        if not sub.star_free:
+            return StarFreeVerdict(
+                False, "transition label (%d, %r) is not star-free: %s"
+                % (key[0], key[1], sub.reason),
+                witness=sub.witness, trace=trace)
+    return StarFreeVerdict(True, "counter-free transducer with star-free labels",
+                           trace=trace)
+
+
 # ---------------------------------------------------------------------------
 # comparison
 
@@ -93,26 +137,20 @@ def outcome(build, *args, **kwargs):
     return ("machine", t.state_words, t.delta, t.outputs, t.to_json())
 
 
-def star_free_outcome(f):
+def star_free_outcome(decide, f):
     try:
-        v = star_free(f)
+        v = decide(f)
     except (UncertainConstruction, StateBudgetExceeded, RecursionError) as exc:
         return ("raised", type(exc).__name__, str(exc))
     return ("verdict", v.star_free, v.reason, repr(v.witness), v.trace)
 
 
-def assert_same(f, levels, max_states, monkeypatch):
+def assert_same(f, levels, max_states):
     for k in levels:
         new = outcome(residual_transducer, f, k, max_states=max_states)
         old = outcome(oracle_residual_transducer, f, k, max_states=max_states)
         assert new == old, "level %d" % k
-    verdicts = []
-    for build in (residual_transducer, oracle_residual_transducer):
-        with monkeypatch.context() as m:
-            m.setattr(canon, "residual_transducer",
-                      functools.partial(build, max_states=max_states))
-            verdicts.append(star_free_outcome(f))
-    assert verdicts[0] == verdicts[1]
+    assert star_free_outcome(star_free, f) == star_free_outcome(oracle_star_free, f)
 
 
 def ind(regex, alphabet=AB):
@@ -140,18 +178,21 @@ def fixtures():
     return [("signed", signed_length(a1)), ("wa", count_a(AB)),
             ("product_counts", _wa_times_wb(AB)), ("itimesj", itimesj),
             ("a_astar", ind("a(a|b)*")), ("even", ind("(aa)*", a1)),
-            ("zero", Cplc(AB, []))]
+            ("zero", Cplc(AB, [])),
+            # degree 0, with a label that is zero but not syntactically:
+            # f|b = ind(a) + ind(b) merges with f|a = ind(a|b)
+            ("zero_label", ind("a(a|b)").add(ind("ba")).add(ind("bb")))]
 
 
 @pytest.mark.parametrize("name,f", fixtures(), ids=[n for n, _ in fixtures()])
-def test_fixtures_every_level(name, f, monkeypatch):
+def test_fixtures_every_level(name, f):
     # below its level a function of level 2 has infinitely many classes:
     # 8 states is enough to compare the merges that lead up to the budget
-    assert_same(f, range(f.level + 1), 8, monkeypatch)
+    assert_same(f, range(f.level + 1), 8)
 
 
-def test_twelve_term_function(monkeypatch):
-    assert_same(twelve_term_function(), (0, 1), 6, monkeypatch)
+def test_twelve_term_function():
+    assert_same(twelve_term_function(), (0, 1), 6)
 
 
 def workload_functions():
@@ -168,8 +209,8 @@ def workload_functions():
 
 @pytest.mark.parametrize("name,f", workload_functions(),
                          ids=[n for n, _ in workload_functions()])
-def test_residual_workload_shapes(name, f, monkeypatch):
-    assert_same(f, (f.level,), 64, monkeypatch)
+def test_residual_workload_shapes(name, f):
+    assert_same(f, (f.level,), 64)
 
 
 def random_functions(seed, count):
@@ -184,9 +225,9 @@ def random_functions(seed, count):
 
 
 @pytest.mark.parametrize("index", range(6))
-def test_random_combinations(index, monkeypatch):
+def test_random_combinations(index):
     f = random_functions(7, 6)[index]
-    assert_same(f, range(f.level + 1), 8, monkeypatch)
+    assert_same(f, range(f.level + 1), 8)
 
 
 # ---------------------------------------------------------------------------
@@ -221,33 +262,18 @@ def test_difference_monoid_is_a_quotient_of_f(terms, u, a, v):
 
 
 def counted_calls(monkeypatch):
-    """Calls of series.minimize and of product_monoid from now on, each
-    charged to the innermost canon.star_free call running, numbered from 1
-    (0 outside one); ("entered", n) marks star_free call n."""
+    """Calls of series.minimize and of product_monoid from now on."""
     calls = Counter()
-    running = [0]
-    numbers = itertools.count(1)
 
     def charge(name, real):
         def wrapper(*args, **kwargs):
-            calls[(name, running[-1])] += 1
+            calls[name] += 1
             return real(*args, **kwargs)
         return wrapper
 
     monkeypatch.setattr(series, "minimize", charge("minimize", series.minimize))
     monkeypatch.setattr(analysis, "product_monoid",
                         charge("product_monoid", analysis.product_monoid))
-    real_star_free = canon.star_free
-
-    def numbered_star_free(f, budget=None, _depth=0):
-        running.append(next(numbers))
-        calls[("entered", running[-1])] += 1
-        try:
-            return real_star_free(f, budget, _depth)
-        finally:
-            running.pop()
-
-    monkeypatch.setattr(canon, "star_free", numbered_star_free)
     return calls
 
 
@@ -256,21 +282,21 @@ COUNTED = fixtures() + workload_functions()
 
 @pytest.mark.parametrize("name,f", COUNTED, ids=[n for n, _ in COUNTED])
 def test_one_question_minimizes_once_and_builds_one_monoid(name, f, monkeypatch):
+    """A question, residual_transducer(f, k) or star_free(f) with every
+    transition label it recurses into, minimizes f once and builds at most
+    f's product monoid."""
     calls = counted_calls(monkeypatch)
     for k in range(f.level + 1):
         calls.clear()
         outcome(residual_transducer, f, k, max_states=8)
-        assert calls["minimize", 0] == 1
-        assert calls["product_monoid", 0] <= (1 if k else 0)
+        assert calls["minimize"] == 1
+        assert calls["product_monoid"] <= (1 if k else 0)
     calls.clear()
     try:
-        canon.star_free(f)
+        star_free(f)
     except (UncertainConstruction, StateBudgetExceeded):
         pass
-    questions = [n for name, n in calls if name == "entered"]
-    assert calls["minimize", 0] == calls["product_monoid", 0] == 0
-    for n in questions:
-        assert calls["minimize", n] == 1 and calls["product_monoid", n] <= 1
+    assert calls["minimize"] == 1 and calls["product_monoid"] <= 1
 
 
 def test_monoid_cap_applies_to_f_not_to_its_differences():
@@ -301,10 +327,4 @@ def test_random_machines_evaluate_like_f_and_star_free_agrees(terms):
         except (UncertainConstruction, StateBudgetExceeded):
             continue
         assert [machine.eval(w) for w in words] == [f.eval(w) for w in words]
-    verdicts = []
-    for build in (residual_transducer, oracle_residual_transducer):
-        with pytest.MonkeyPatch.context() as m:
-            m.setattr(canon, "residual_transducer", functools.partial(build, max_states=8))
-            verdicts.append(star_free_outcome(f))
-    if verdicts[0][0] == verdicts[1][0] == "verdict":
-        assert verdicts[0][1] == verdicts[1][1]
+    assert star_free_outcome(star_free, f) == star_free_outcome(oracle_star_free, f)
