@@ -39,7 +39,8 @@ the function has finitely many residuals and the question reduces to
 aperiodicity of its minimal automaton, the 0-residual transducer, whose
 labels are all zero; at degree k >= 1 the function is star-free iff its
 k-residual transducer is counter-free and every transition label is
-star-free.
+star-free.  A label has degree at most k-1, so the recursion is at most
+degree(f) + 1 deep.
 """
 
 from __future__ import annotations
@@ -237,13 +238,11 @@ class StarFreeVerdict:
 def star_free(f: Cplc, budget: SearchBudget | None = None) -> StarFreeVerdict:
     """Decide star-freeness by induction on the growth degree, in one
     analysis of f (module docstring)."""
-    return _star_free(f, analysis.Analysis.of(f, budget), 0)
+    return _star_free(f, analysis.Analysis.of(f, budget))
 
 
-def _star_free(f: Cplc, an: analysis.Analysis, depth: int) -> StarFreeVerdict:
-    """star_free of f, the series of `an.rep`, `depth` labels down."""
-    if depth > 16:
-        raise RecursionError("star-freeness recursion too deep")
+def _star_free(f: Cplc, an: analysis.Analysis) -> StarFreeVerdict:
+    """star_free of f, the series of `an.rep`."""
     verdict = analysis.growth_degree(f, rep=an)
     k = verdict.degree
     if verdict.budget_exhausted:
@@ -265,7 +264,7 @@ def _star_free(f: Cplc, an: analysis.Analysis, depth: int) -> StarFreeVerdict:
             continue
         v = an.rep.mats[a].vecmat(vectors[q])
         dv = [x - y for x, y in zip(v, vectors[machine.delta[q, a]])]
-        sub = _star_free(label, an.at(dv), depth + 1)
+        sub = _star_free(label, an.at(dv))
         trace.extend(sub.trace)
         if not sub.star_free:
             return StarFreeVerdict(

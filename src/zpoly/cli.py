@@ -45,7 +45,7 @@ GROWTH_QUESTIONS = ("growth", "pump", "rt", "starfree")
 # Library errors that leave a question open within the budget (exit 2).
 UNDECIDED = (BudgetExhausted, PatternVerificationError, UncertainConstruction,
              StateBudgetExceeded, lang.MonoidTooLarge,
-             RecursionError)   # star_free bounds its recursion depth
+             RecursionError)   # input nested deeper than the parsers can recurse
 
 
 # ---------------------------------------------------------------------------
@@ -110,11 +110,11 @@ def exponential_word(rep):
 
     In a minimal representation the vectors I mu(u) and mu(v) F span the
     space, so an eigenvalue of modulus > 1 of some mu(w) makes some
-    f(u w^n v) grow exponentially.  By Kronecker, a monic integer
-    polynomial whose roots all have modulus <= 1 has only 0 and roots of
-    unity as roots; so an integral characteristic polynomial that the
-    spectrum probe rejects has a root of modulus > 1.  A rational one
-    proves nothing (mu(a) = (1/2) is bounded)."""
+    f(u w^n v) grow exponentially.  The spectrum probe rejects an integral
+    characteristic polynomial only when a Graeffe iterate of it breaks the
+    binomial bound on its coefficients, which shows a root of modulus > 1
+    (`exact.classify_roots`).  A rational one proves nothing
+    (mu(a) = (1/2) is bounded)."""
     rep = series.minimize(rep)
     for word, _ in series.spectrum_probe(rep, "zero_union_unity").violations:
         p = char_poly(rep.word_matrix(word))

@@ -448,7 +448,10 @@ def _fold_expression(alphabet: Alphabet, ast, indicator):
                 raise ExprError(str(exc)) from None
         raise ExprError("unknown node %r" % (tag,))
 
-    return fold(ast)
+    try:
+        return fold(ast)
+    finally:
+        del fold   # it refers to itself: free its cycle (and what it compiled) now
 
 
 def expression_to_cplc(alphabet: Alphabet, ast) -> Cplc:

@@ -6,8 +6,9 @@ vectors and coordinates keep every entry in one normal form, through
 `exact_entry`: a Python int when it is integral, a `fractions.Fraction`
 otherwise.  Products of integral matrices therefore never build a
 Fraction, and no `/` touches a matrix or vector entry.  Polynomials
-(`UPoly`, `MPoly`) have Fraction coefficients, since division of
-polynomials divides them.
+(`UPoly`, `MPoly`) have Fraction coefficients: characteristic
+polynomials of rational matrices and interpolating polynomials are
+rational.  Roots are classified on integer coefficients only.
 """
 
 from __future__ import annotations
@@ -241,9 +242,6 @@ class UPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def is_one(self) -> bool:
-        return self.coeffs == (Fraction(1),)
-
     def monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
@@ -274,31 +272,6 @@ class UPoly:
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
         return UPoly(out)
-
-    def divmod(self, other):
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        q = [Fraction(0)] * max(0, len(rem) - len(other.coeffs) + 1)
-        d = other.degree
-        lead = other.coeffs[-1]
-        while len(rem) - 1 >= d and any(c != 0 for c in rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            f = rem[-1] / lead
-            shift = len(rem) - 1 - d
-            q[shift] = f
-            for i, c in enumerate(other.coeffs):
-                rem[shift + i] -= f * c
-            rem.pop()
-        return UPoly(q), UPoly(rem)
-
-    def divides_exactly(self, other):
-        """Return self / other if the division is exact, else None."""
-        q, r = self.divmod(other)
-        return q if r.is_zero() else None
 
     def eval(self, x):
         x = _frac(x)
@@ -350,78 +323,52 @@ def char_poly(m: QMat) -> UPoly:
 
 
 # ---------------------------------------------------------------------------
-# cyclotomic polynomials and root classification
-
-
-def euler_phi(n: int) -> int:
-    result = n
-    p = 2
-    m = n
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
-
-
-_CYCLO_CACHE: dict[int, UPoly] = {}
-
-
-def cyclotomic(n: int) -> UPoly:
-    if n in _CYCLO_CACHE:
-        return _CYCLO_CACHE[n]
-    # X^n - 1 divided by the cyclotomic polynomials of the proper divisors
-    p = UPoly([-1] + [0] * (n - 1) + [1])
-    for d in range(1, n):
-        if n % d == 0:
-            q = p.divides_exactly(cyclotomic(d))
-            if q is None:
-                raise AssertionError("cyclotomic division failed")
-            p = q
-    _CYCLO_CACHE[n] = p
-    return p
+# root classification
 
 
 def classify_roots(p: UPoly, mode: str) -> bool:
     """Check where all complex roots of a monic rational polynomial lie.
 
-    mode "zero_one": every root is 0 or 1, i.e. p = X^a (X-1)^b.
+    mode "zero_one": every root is 0 or 1, i.e. p = X^a (X-1)^n.
     mode "zero_union_unity": every root is 0 or a root of unity, i.e. the
     nonzero part of p is a product of cyclotomic polynomials.
+
+    Both hold only for integral p (0, 1 and roots of unity are algebraic
+    integers).  With p = X^a q and q(0) != 0 of degree n, the second mode
+    runs Graeffe's root-squaring  q'(X^2) = (-1)^n q(X) q(-X),  whose roots
+    are the squares of q's.  A coefficient |q_i| > C(n, i) shows, by Vieta,
+    a root of modulus > 1.  A step that returns q unchanged maps q's roots
+    onto themselves, so each is a root of unity.  One of the two happens:
+    by Kronecker an integral q whose roots all have modulus <= 1 is a
+    product of cyclotomic polynomials, and squaring sends Phi_m to Phi_m
+    for odd m, Phi_2m to Phi_m for odd m and Phi_m to Phi_(m/2)^2 when
+    4 | m, so such a product is fixed within log2(n) + 2 steps.  If q has a
+    root of modulus > 1, its Mahler measure (the product of the root moduli
+    that exceed 1) is > 1 and squared by each step, while within the bound
+    it is at most the Euclidean norm of the coefficients (Landau), so the
+    bound breaks.
     """
     if not p.monic():
         raise ValueError("classify_roots requires a monic polynomial")
     if mode not in ("zero_one", "zero_union_unity"):
         raise ValueError("unknown mode %r" % mode)
-    cur = p
-    x = UPoly.x()
-    while not cur.is_one() and cur.coeffs[0] == 0:
-        cur = cur.divides_exactly(x)
+    if any(c.denominator != 1 for c in p.coeffs):
+        return False
+    q = [int(c) for c in p.coeffs]
+    q = q[next(i for i, c in enumerate(q) if c):]
+    n = len(q) - 1
     if mode == "zero_one":
-        xm1 = UPoly([-1, 1])
-        while not cur.is_one():
-            q = cur.divides_exactly(xm1)
-            if q is None:
-                return False
-            cur = q
-        return True
-    deg0 = cur.degree
-    n = 1
-    while not cur.is_one():
-        if euler_phi(n) > deg0:
-            return False
-        phi_n = cyclotomic(n)
-        while True:
-            q = cur.divides_exactly(phi_n)
-            if q is None:
-                break
-            cur = q
-        n += 1
-    return True
+        return q == [(-1) ** (n - i) * math.comb(n, i) for i in range(n + 1)]
+    while all(abs(c) <= math.comb(n, i) for i, c in enumerate(q)):
+        r = [0] * (2 * n + 1)    # q(X) q(-X)
+        for i, a in enumerate(q):
+            for j, b in enumerate(q):
+                r[i + j] += (-1) ** j * a * b
+        squared = [(-1) ** n * c for c in r[::2]]
+        if squared == q:
+            return True
+        q = squared
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -587,19 +534,13 @@ def interpolate_grid(arity: int, per_var_degree: int, x0: int, value_at) -> MPol
 # power sums and Cauchy products of polynomials
 
 
-_POWER_SUM_CACHE: dict[int, UPoly] = {}
-
-
+@functools.cache
 def power_sum(p: int) -> UPoly:
     """The polynomial S_p with S_p(X) = sum_{i=0}^{X} i^p for integer X >= 0."""
-    if p in _POWER_SUM_CACHE:
-        return _POWER_SUM_CACHE[p]
     # the sum is a polynomial of degree p+1: p+2 values determine it
     values = list(itertools.accumulate(x ** p for x in range(p + 2)))
     mono = newton_to_mpoly(newton_coefficients(values, 1, p + 1), 1, p + 1, 0)
-    poly = UPoly([mono.terms.get((e,), 0) for e in range(p + 2)])
-    _POWER_SUM_CACHE[p] = poly
-    return poly
+    return UPoly([mono.terms.get((e,), 0) for e in range(p + 2)])
 
 
 def _mono_cauchy_1d(a: int, b: int) -> UPoly:

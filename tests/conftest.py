@@ -7,7 +7,9 @@ the library's algebra is checked against something that cannot share its
 bugs.
 """
 
+import functools
 import itertools
+import math
 import operator
 import random
 from fractions import Fraction
@@ -129,6 +131,62 @@ def char_poly(m: QMat) -> UPoly:
             mk = mk + QMat.identity(n).scale(ck)
     # coeffs are for X^n, X^{n-1}, ..., X^0
     return UPoly(list(reversed(coeffs)))
+
+
+# ---------------------------------------------------------------------------
+# root classification by cyclotomic division, on integer coefficient lists
+# (low degree first)
+
+
+def poly_divmod(p, d):
+    """(quotient, remainder) of p by the monic d."""
+    rem = list(p)
+    quot = [0] * max(0, len(p) - len(d) + 1)
+    for shift in reversed(range(len(quot))):
+        c = quot[shift] = rem[shift + len(d) - 1]
+        for i, x in enumerate(d):
+            rem[shift + i] -= c * x
+    return quot, rem[:len(d) - 1]
+
+
+@functools.cache
+def euler_phi(n: int) -> int:
+    return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
+
+
+@functools.cache
+def cyclotomic(n: int):
+    """Phi_n: X^n - 1 divided by Phi_d for every proper divisor d of n."""
+    p = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            p, rem = poly_divmod(p, cyclotomic(d))
+            assert not any(rem)
+    return tuple(p)
+
+
+def oracle_classify_roots(p: UPoly, mode: str) -> bool:
+    """classify_roots by division: strip X, then divide out X - 1
+    ("zero_one") or Phi_n for every n with phi(n) <= deg p
+    ("zero_union_unity"; phi(n) >= sqrt(n / 2), so n <= 2 deg^2) as often
+    as each divides, and ask whether 1 is left.  X^a (X-1)^b and X^a times
+    cyclotomic polynomials are integral, so a non-integral p is neither."""
+    if any(c.denominator != 1 for c in p.coeffs):
+        return False
+    q = [int(c) for c in p.coeffs]
+    q = q[next(i for i, c in enumerate(q) if c):]
+    deg = len(q) - 1
+    if mode == "zero_one":
+        divisors = [cyclotomic(1)]
+    else:
+        divisors = [cyclotomic(n) for n in range(1, 2 * deg * deg + 1) if euler_phi(n) <= deg]
+    for d in divisors:
+        while len(q) >= len(d):
+            quot, rem = poly_divmod(q, d)
+            if any(rem):
+                break
+            q = quot
+    return q == [1]
 
 
 def lyndon_root(word):

@@ -176,6 +176,28 @@ def test_exponential_input_is_a_definite_no(files, capsys, command):
         assert code == 3 and not out and "input error" in err
 
 
+# mu(a) is the companion matrix of Phi_12 = X^4 - X^2 + 1, so mu(a)^12 = I
+PHI12_JSON = json.dumps({"alphabet": ["a"], "dim": 4, "initial": ["1", "0", "0", "0"],
+                         "final": ["1", "0", "0", "0"],
+                         "matrices": {"a": [["0", "1", "0", "0"], ["0", "0", "1", "0"],
+                                            ["0", "0", "0", "1"], ["-1", "0", "1", "0"]]}})
+
+
+def test_roots_of_unity_of_order_12_conform(files, capsys):
+    """X^6 + 1 = Phi_4 Phi_12 and Phi_12 have only roots of unity as roots:
+    the spectra conform, and a bounded raw linear representation is not a
+    definite no to a growth question but malformed input."""
+    path = files("p12.zexpr", "alphabet = a\nind((aaaaaaaaaaaa)*) - ind(aaaaaa(aaaaaaaaaaaa)*)\n")
+    code, out, _ = run(capsys, "spectrum", path)
+    assert code == 0 and "all spectra conform" in out
+    path = files("phi12.json", PHI12_JSON)
+    code, out, _ = run(capsys, "spectrum", path)
+    assert code == 0 and "all spectra conform" in out
+    for command in ("growth", "starfree"):
+        code, out, err = run(capsys, command, path)
+        assert code == 3 and not out and "polynomial-growth (Cauchy combination)" in err
+
+
 def test_exponential_input_elsewhere_is_malformed(files, capsys):
     f = files("pow.zmso", POWERSET_ZMSO)
     for argv in (["equiv", f, f, "--mod", "1"], ["compile", f, "--target", "cplc"]):
@@ -459,19 +481,11 @@ def test_monoid_too_large_is_undecided(files, capsys, monkeypatch):
     assert code == 2 and "undecided: monoid closure exceeded" in out
 
 
-def test_star_free_recursion_limit_is_undecided(files, capsys, monkeypatch):
-    from zpoly import canon
-
-    real = canon._star_free
-
-    def shallow(f, an, depth):
-        # the first recursion into a transition label is already too deep
-        return real(f, an, 17 * depth)
-
-    monkeypatch.setattr(canon, "_star_free", shallow)
-    path = files("wa.zexpr", COUNT_A_ZEXPR)
-    code, out, _ = run(capsys, "starfree", path)
-    assert code == 2 and "undecided: star-freeness recursion too deep" in out
+@pytest.mark.parametrize("command", ["growth", "starfree"])
+def test_input_nested_past_the_recursion_limit_is_undecided(files, capsys, command):
+    path = files("deep.zexpr", "alphabet = a\nind(" + "(" * 3000 + "a" + ")" * 3001 + "\n")
+    code, out, err = run(capsys, command, path)
+    assert code == 2 and out.startswith("undecided: ") and not err
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Cauchy combinations of regular-language indicators."""
 
+import gc
 import random
 
 import pytest
@@ -195,6 +196,21 @@ def test_each_regex_compiles_once_per_fold(text, monkeypatch):
         assert sorted(compiled) == sorted(set(ind_texts(ast)))
         assert got.to_json() == fold_expression(alphabet, ast, indicator).to_json()
     assert len(set(ind_texts(ast))) < len(ind_texts(ast))
+
+
+@pytest.mark.parametrize("fold", [expression_to_cplc, expression_to_linrep])
+def test_a_fold_leaves_no_cyclic_garbage(fold):
+    """With the collector off, reference counting frees all that one fold
+    built: a collection afterwards finds nothing unreachable."""
+    alphabet, ast = parse_expression("alphabet = a b\n"
+                                     "2 * ind((a|b)*a) . ind(b(a|b)*) - ind(a*)\n")
+    gc.collect()
+    gc.disable()
+    try:
+        fold(alphabet, ast)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_expression_errors():

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gauss_rank, is_exact_entry, rows_mul, rows_power
-from zpoly.exact import (MPoly, QMat, RowBasis, UPoly, char_poly,
-                         classify_roots, cyclotomic, euler_phi,
+from conftest import (cyclotomic, euler_phi, gauss_rank, is_exact_entry,
+                      oracle_classify_roots, rows_mul, rows_power)
+from zpoly.exact import (MPoly, QMat, RowBasis, UPoly, char_poly, classify_roots,
                          interpolate_grid, poly_cauchy, power_sum)
 from zpoly.lang import Alphabet
 from zpoly.series import LinRep, reduce_minimize
@@ -102,13 +102,9 @@ def test_row_basis_against_rank_oracle(family):
                     for j in range(dim)] == list(v)
 
 
-def test_upoly_divmod():
+def test_upoly_eval():
     x = UPoly.x()
     p = (x - UPoly.const(1)) * (x + UPoly.const(2))
-    q, r = p.divmod(x - UPoly.const(1))
-    assert r.is_zero() and q == x + UPoly.const(2)
-    assert p.divides_exactly(x - UPoly.const(1)) == x + UPoly.const(2)
-    assert p.divides_exactly(x - UPoly.const(3)) is None
     assert p.eval(1) == 0 and p.eval(3) == 10
 
 
@@ -126,20 +122,6 @@ def test_char_poly_diagonal():
     assert char_poly(m) == (x - UPoly.const(2)) * (x - UPoly.const(3))
 
 
-def test_euler_phi_and_cyclotomic():
-    assert [euler_phi(n) for n in range(1, 9)] == [1, 1, 2, 2, 4, 2, 6, 4]
-    x = UPoly.x()
-    assert cyclotomic(1) == x - UPoly.const(1)
-    assert cyclotomic(2) == x + UPoly.const(1)
-    assert cyclotomic(4) == x * x + UPoly.const(1)
-    # product of cyclotomics over divisors of 6 is X^6 - 1
-    prod = UPoly.const(1)
-    for d in (1, 2, 3, 6):
-        prod = prod * cyclotomic(d)
-    want = [-1, 0, 0, 0, 0, 0, 1]
-    assert prod == UPoly(want)
-
-
 def test_classify_roots():
     x = UPoly.x()
     one = UPoly.const(1)
@@ -153,6 +135,51 @@ def test_classify_roots():
     # a non-integer coefficient: neither X^a (X-1)^b nor X^a times cyclotomics
     assert not classify_roots(x - UPoly.const(Fraction(1, 2)), "zero_one")
     assert not classify_roots(x - UPoly.const(Fraction(1, 2)), "zero_union_unity")
+
+
+# Phi_n for the n <= 60 with phi(n) <= 16
+CYCLOTOMIC = [UPoly(cyclotomic(n)) for n in range(1, 61) if euler_phi(n) <= 16]
+LEHMER = UPoly([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1])   # Mahler measure 1.176...
+
+
+def root_corpus(rng, count):
+    """X^a times products of cyclotomic polynomials of degree <= 16 (or of
+    powers of X - 1), some with an extra factor X + 2 or X - 1/2, and
+    random small monic integer polynomials."""
+    x = UPoly.x()
+    extras = [UPoly.const(1), x + UPoly.const(2), x - UPoly.const(Fraction(1, 2))]
+    for _ in range(count):
+        if rng.random() < 0.3:
+            q = UPoly([rng.randint(-2, 2) for _ in range(rng.randint(0, 8))] + [1])
+        else:
+            pool = CYCLOTOMIC if rng.random() < 0.8 else CYCLOTOMIC[:1]
+            q = UPoly.const(1)
+            for _ in range(rng.randint(0, 6)):
+                phi = rng.choice(pool)
+                if q.degree + phi.degree <= 16:
+                    q = q * phi
+            q = q * rng.choice(extras)
+        yield UPoly([0] * rng.randint(0, 2) + list(q.coeffs))
+
+
+@pytest.mark.parametrize("mode", ["zero_one", "zero_union_unity"])
+def test_classify_roots_against_cyclotomic_division(mode):
+    polys = CYCLOTOMIC + [LEHMER] + list(root_corpus(random.Random(20), 1500))
+    verdicts = [classify_roots(p, mode) for p in polys]
+    assert verdicts == [oracle_classify_roots(p, mode) for p in polys]
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_classify_roots_on_every_small_cyclotomic():
+    """Each Phi_n, alone and as X Phi_n^2, has only roots of unity besides 0;
+    a search of Phi_1, Phi_2, ... that stops at the first m with
+    phi(m) > deg misses Phi_12, Phi_18, Phi_20, Phi_24 and Phi_30.
+    Lehmer's polynomial has a root of modulus 1.176..."""
+    for phi in CYCLOTOMIC:
+        assert classify_roots(phi, "zero_union_unity")
+        assert classify_roots(phi * phi * UPoly.x(), "zero_union_unity")
+    assert not classify_roots(LEHMER, "zero_union_unity")
+    assert not classify_roots(LEHMER * UPoly(cyclotomic(12)), "zero_union_unity")
 
 
 def test_mpoly_eval_and_degree():

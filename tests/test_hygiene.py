@@ -7,7 +7,9 @@ language and are exempt; `__init__.py` re-exports through `__all__`).
 No module reads a `_`-prefixed name of another module of the package.
 Every `SearchBudget` field is read somewhere in src/zpoly.  No public
 function or method takes a `_`-prefixed parameter: a private knob belongs
-to a private helper, not to the public signature.
+to a private helper, not to the public signature.  No module binds a
+dict, list or set at module level (`__all__` aside): a memo belongs to
+`functools.cache`, and a module's state to no one.
 """
 
 import ast
@@ -154,3 +156,31 @@ def test_no_public_function_takes_a_private_parameter(path):
         found.extend("%s(%s)" % (qualified, p.arg) for p in params if p.arg.startswith("_"))
     assert not found, "%s: public functions with private parameters: %s" % (
         path.name, ", ".join(found))
+
+
+MUTABLE_DISPLAYS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+MUTABLE_TYPES = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter", "deque"}
+
+
+def is_mutable_container(node):
+    if isinstance(node, ast.Call):
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        return name in MUTABLE_TYPES
+    return isinstance(node, MUTABLE_DISPLAYS)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_binds_a_mutable_container(path):
+    found = []
+    for node in parse(path).body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets = [node.target]
+        else:
+            continue
+        names = [ast.unparse(t) for t in targets]
+        if names != ["__all__"] and is_mutable_container(node.value):
+            found.append("%s (line %d)" % (" = ".join(names), node.lineno))
+    assert not found, "%s binds module-level containers: %s" % (path.name, ", ".join(found))

@@ -82,12 +82,10 @@ def oracle_residual_transducer(f, k, budget=None, max_states=64):
     return ResidualTransducer(f.alphabet, k, state_words, delta, labels, outputs)
 
 
-def oracle_star_free(f, budget=None, depth=0):
+def oracle_star_free(f, budget=None):
     """The induction on the growth degree with nothing shared: each
     function, f and every nonzero transition label, gets a growth search
     in a fresh analysis of its own and a machine from the per-merge oracle."""
-    if depth > 16:
-        raise RecursionError("star-freeness recursion too deep")
     verdict = growth_degree(f, budget)
     k = verdict.degree
     if k <= 0 and verdict.budget_exhausted:
@@ -113,7 +111,7 @@ def oracle_star_free(f, budget=None, depth=0):
         label = machine.labels[key]
         if not label.terms:
             continue
-        sub = oracle_star_free(label, budget, depth + 1)
+        sub = oracle_star_free(label, budget)
         trace.extend(sub.trace)
         if not sub.star_free:
             return StarFreeVerdict(
@@ -140,7 +138,7 @@ def outcome(build, *args, **kwargs):
 def star_free_outcome(decide, f):
     try:
         v = decide(f)
-    except (UncertainConstruction, StateBudgetExceeded, RecursionError) as exc:
+    except (UncertainConstruction, StateBudgetExceeded) as exc:
         return ("raised", type(exc).__name__, str(exc))
     return ("verdict", v.star_free, v.reason, repr(v.witness), v.trace)
 
