@@ -15,7 +15,7 @@ import sys
 from . import analysis, canon, cplc, forests, lang, mso, series
 from .analysis import BudgetExhausted, PatternVerificationError, SearchBudget
 from .canon import StateBudgetExceeded, UncertainConstruction
-from .exact import char_poly
+from .exact import char_poly, poly_text
 
 EXIT_OK = 0
 EXIT_NO = 1
@@ -45,7 +45,7 @@ GROWTH_QUESTIONS = ("growth", "pump", "rt", "starfree")
 # Library errors that leave a question open within the budget (exit 2).
 UNDECIDED = (BudgetExhausted, PatternVerificationError, UncertainConstruction,
              StateBudgetExceeded, lang.MonoidTooLarge,
-             RecursionError)   # input nested deeper than the parsers can recurse
+             RecursionError)   # parentheses nested past the recursion limit (flat chains loop)
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +118,7 @@ def exponential_word(rep):
     rep = series.minimize(rep)
     for word, _ in series.spectrum_probe(rep, "zero_union_unity").violations:
         p = char_poly(rep.word_matrix(word))
-        if all(c.denominator == 1 for c in p.coeffs):
+        if all(type(c) is int for c in p):
             return word, p
     return None
 
@@ -155,12 +155,13 @@ def at_least(least: int):
 
 
 def add_budget_flags(p: argparse.ArgumentParser):
-    p.add_argument("--budget-pump-len", type=at_least(0), default=2)
-    p.add_argument("--budget-connector-len", type=at_least(0), default=1)
-    p.add_argument("--budget-sample-len", type=at_least(0), default=6)
-    p.add_argument("--budget-samples", type=at_least(0), default=200)
-    p.add_argument("--budget-max-patterns", type=at_least(0), default=20000)
-    p.add_argument("--seed", type=int, default=0)
+    default = SearchBudget()
+    p.add_argument("--budget-pump-len", type=at_least(0), default=default.pump_len)
+    p.add_argument("--budget-connector-len", type=at_least(0), default=default.connector_len)
+    p.add_argument("--budget-sample-len", type=at_least(0), default=default.sample_len)
+    p.add_argument("--budget-samples", type=at_least(0), default=default.max_samples)
+    p.add_argument("--budget-max-patterns", type=at_least(0), default=default.max_patterns)
+    p.add_argument("--seed", type=int, default=default.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -436,8 +437,8 @@ def main(argv=None) -> int:
             print("input error: %s" % exc, file=sys.stderr)
             return EXIT_INPUT
         print("not of polynomial growth: the word matrix of %r has characteristic "
-              "polynomial %r, with a root of modulus > 1"
-              % ("".join(map(str, found[0])), found[1]))
+              "polynomial %s, with a root of modulus > 1"
+              % ("".join(map(str, found[0])), poly_text(found[1])))
         return EXIT_NO
     except (InputError, lang.RegexError, cplc.ExprError, mso.MsoError) as exc:
         print("input error: %s" % exc, file=sys.stderr)

@@ -410,13 +410,12 @@ def _factor(s: lang.Scanner, alphabet: Alphabet):
 
 
 def expression_uses_star(ast) -> bool:
-    tag = ast[0]
-    if tag == "star":
-        return True
-    if tag in ("add", "sub", "cauchy"):
-        return expression_uses_star(ast[1]) or expression_uses_star(ast[2])
-    if tag == "scale":
-        return expression_uses_star(ast[2])
+    stack = [ast]
+    while stack:
+        node = stack.pop()
+        if node[0] == "star":
+            return True
+        stack.extend([x for x in node[1:] if type(x) is tuple])
     return False
 
 
@@ -438,7 +437,11 @@ def _fold_expression(alphabet: Alphabet, ast, indicator):
         if tag == "scale":
             return fold(node[2]).scale(node[1])
         if tag in ("add", "sub", "cauchy"):
-            return getattr(fold(node[1]), tag)(fold(node[2]))
+            node, rest = lang.unchain(node, ("add", "sub", "cauchy"))
+            value = fold(node)
+            for tag, right in rest:
+                value = getattr(value, tag)(fold(right))
+            return value
         if tag == "star":
             if indicator is not series.indicator:
                 raise ExprError("star(...) requires compilation to a linear representation")

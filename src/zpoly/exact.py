@@ -5,10 +5,11 @@ comparisons are exact.  Matrices, representation vectors and row-basis
 vectors and coordinates keep every entry in one normal form, through
 `exact_entry`: a Python int when it is integral, a `fractions.Fraction`
 otherwise.  Products of integral matrices therefore never build a
-Fraction, and no `/` touches a matrix or vector entry.  Polynomials
-(`UPoly`, `MPoly`) have Fraction coefficients: characteristic
-polynomials of rational matrices and interpolating polynomials are
-rational.  Roots are classified on integer coefficients only.
+Fraction, and no `/` touches a matrix or vector entry.  Polynomial
+coefficients follow the same normal form: a univariate polynomial is the
+tuple of its coefficients from X^0 up (`char_poly`, `classify_roots`,
+`poly_text`), and `MPoly` maps exponent tuples to coefficients.  Roots are
+classified on integer coefficients only.
 """
 
 from __future__ import annotations
@@ -20,17 +21,12 @@ import operator
 from fractions import Fraction
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x)
-
-
 def exact_entry(x):
     """x as an int when it is integral, else as a Fraction."""
     if type(x) is int:
         return x
-    x = _frac(x)
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
     return x.numerator if x.denominator == 1 else x
 
 
@@ -213,92 +209,29 @@ class RowBasis:
 
 
 # ---------------------------------------------------------------------------
-# univariate polynomials (coefficients low degree -> high degree)
+# univariate polynomials: coefficient sequences, low degree -> high degree
 
 
-class UPoly:
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        cs = [
-            _frac(c) for c in coeffs
-        ]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @staticmethod
-    def x() -> "UPoly":
-        return UPoly([0, 1])
-
-    @staticmethod
-    def const(c) -> "UPoly":
-        return UPoly([c])
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def __eq__(self, other):
-        return isinstance(other, UPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [Fraction(0)] * (n - len(other.coeffs))
-        return UPoly([x + y for x, y in zip(a, b)])
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        c = _frac(c)
-        return UPoly([c * x for x in self.coeffs])
-
-    def __mul__(self, other):
-        if self.is_zero() or other.is_zero():
-            return UPoly([])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return UPoly(out)
-
-    def eval(self, x):
-        x = _frac(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __repr__(self):
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            elif i == 1:
-                parts.append("%s*X" % c if c != 1 else "X")
-            else:
-                parts.append("%s*X^%d" % (c, i) if c != 1 else "X^%d" % i)
-        return " + ".join(parts)
+def poly_text(coeffs) -> str:
+    """The polynomial with these coefficients, as in "3/2 + -7/2*X + X^2"."""
+    parts = []
+    for i, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        if i == 0:
+            parts.append(str(c))
+        elif i == 1:
+            parts.append("%s*X" % c if c != 1 else "X")
+        else:
+            parts.append("%s*X^%d" % (c, i) if c != 1 else "X^%d" % i)
+    return " + ".join(parts) or "0"
 
 
-def char_poly(m: QMat) -> UPoly:
-    """Characteristic polynomial det(X - m), by the Faddeev-LeVerrier
-    recurrence run on integers.
+def char_poly(m: QMat) -> tuple:
+    """The coefficients of the characteristic polynomial det(X - m), from
+    X^0 up to the leading 1, by the Faddeev-LeVerrier recurrence run on
+    integers.  They are in the normal form of `exact_entry`, so an integral
+    matrix gives ints and builds no Fraction.
 
     With d the lcm of the denominators of m, B = d m is an integer matrix.
     The recurrence  M_1 = B,  c_k = -tr(M_k) / k,  M_{k+1} = (M_k + c_k) B
@@ -319,15 +252,17 @@ def char_poly(m: QMat) -> UPoly:
         if k < n:
             mk = QMat([[x + ck if i == j else x for j, x in enumerate(row)]
                        for i, row in enumerate(mk.rows)]) * b
-    return UPoly([Fraction(c, d ** i) for i, c in reversed(list(enumerate(coeffs)))])
+    return tuple([exact_entry(Fraction(c, d ** i)) if d > 1 else c
+                  for i, c in reversed(list(enumerate(coeffs)))])
 
 
 # ---------------------------------------------------------------------------
 # root classification
 
 
-def classify_roots(p: UPoly, mode: str) -> bool:
-    """Check where all complex roots of a monic rational polynomial lie.
+def classify_roots(p, mode: str) -> bool:
+    """Check where all complex roots of a monic rational polynomial lie;
+    `p` is its coefficient sequence from X^0 up, ending in the leading 1.
 
     mode "zero_one": every root is 0 or 1, i.e. p = X^a (X-1)^n.
     mode "zero_union_unity": every root is 0 or a root of unity, i.e. the
@@ -348,13 +283,13 @@ def classify_roots(p: UPoly, mode: str) -> bool:
     it is at most the Euclidean norm of the coefficients (Landau), so the
     bound breaks.
     """
-    if not p.monic():
+    if not p or p[-1] != 1:
         raise ValueError("classify_roots requires a monic polynomial")
     if mode not in ("zero_one", "zero_union_unity"):
         raise ValueError("unknown mode %r" % mode)
-    if any(c.denominator != 1 for c in p.coeffs):
+    if any(c.denominator != 1 for c in p):
         return False
-    q = [int(c) for c in p.coeffs]
+    q = [int(c) for c in p]
     q = q[next(i for i, c in enumerate(q) if c):]
     n = len(q) - 1
     if mode == "zero_one":
@@ -380,12 +315,7 @@ class MPoly:
 
     def __init__(self, arity: int, terms=None):
         self.arity = arity
-        tt = {}
-        for e, c in (terms or {}).items():
-            c = _frac(c)
-            if c != 0:
-                tt[tuple(e)] = tt.get(tuple(e), Fraction(0)) + c
-        self.terms = {e: c for e, c in tt.items() if c != 0}
+        self.terms = {tuple(e): exact_entry(c) for e, c in (terms or {}).items() if c != 0}
 
     @staticmethod
     def const(arity: int, c) -> "MPoly":
@@ -418,14 +348,14 @@ class MPoly:
             raise ValueError("arity mismatch")
         t = dict(self.terms)
         for e, c in other.terms.items():
-            t[e] = t.get(e, Fraction(0)) + c
+            t[e] = t.get(e, 0) + c
         return MPoly(self.arity, t)
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, c):
-        c = _frac(c)
+        c = exact_entry(c)
         return MPoly(self.arity, {e: c * v for e, v in self.terms.items()})
 
     def __mul__(self, other):
@@ -435,18 +365,12 @@ class MPoly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                t[e] = t.get(e, Fraction(0)) + c1 * c2
+                t[e] = t.get(e, 0) + c1 * c2
         return MPoly(self.arity, t)
 
     def eval(self, point):
-        point = tuple(map(_frac, point))
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            v = c
-            for x, k in zip(point, e):
-                v *= x ** k
-            total += v
-        return total
+        return exact_entry(sum([c * math.prod([x ** k for x, k in zip(point, e)])
+                                for e, c in self.terms.items()]))
 
     def __repr__(self):
         if not self.terms:
@@ -493,13 +417,15 @@ def _differences(values, points):
 
 
 def _to_mpoly(coeffs, points, d: int, x0: int) -> MPoly:
-    basis = [UPoly.const(1)]    # binomial(X - x0, i) as polynomials in X
+    # basis[i]: the coefficients of C(X - x0, i) = C(X - x0, i - 1) (X - x0 - i + 1) / i
+    basis = [[1]]
     for i in range(1, d + 1):
-        basis.append(basis[-1] * UPoly([Fraction(-(x0 + i - 1), i), Fraction(1, i)]))
+        b = basis[-1]
+        basis.append([Fraction(u - (x0 + i - 1) * v, i) for u, v in zip([0] + b, b + [0])])
     terms = {}
     for i, c in zip(points, coeffs):
         for p in itertools.product(*[range(a + 1) for a in i]):
-            terms[p] = terms.get(p, 0) + c * math.prod(basis[a].coeffs[e] for a, e in zip(i, p))
+            terms[p] = terms.get(p, 0) + c * math.prod(basis[a][e] for a, e in zip(i, p))
     return MPoly(len(points[0]), terms)
 
 
@@ -531,46 +457,25 @@ def interpolate_grid(arity: int, per_var_degree: int, x0: int, value_at) -> MPol
 
 
 # ---------------------------------------------------------------------------
-# power sums and Cauchy products of polynomials
-
-
-@functools.cache
-def power_sum(p: int) -> UPoly:
-    """The polynomial S_p with S_p(X) = sum_{i=0}^{X} i^p for integer X >= 0."""
-    # the sum is a polynomial of degree p+1: p+2 values determine it
-    values = list(itertools.accumulate(x ** p for x in range(p + 2)))
-    mono = newton_to_mpoly(newton_coefficients(values, 1, p + 1), 1, p + 1, 0)
-    return UPoly([mono.terms.get((e,), 0) for e in range(p + 2)])
-
-
-def _mono_cauchy_1d(a: int, b: int) -> UPoly:
-    """Closed form of X^a (x) X^b, i.e. sum_{i=0}^{X} i^a (X-i)^b."""
-    out = UPoly([])
-    for k in range(b + 1):
-        c = Fraction(math.comb(b, k) * (-1) ** (b - k))
-        s = power_sum(a + b - k)
-        out = out + UPoly([0] * k + [1]).scale(c) * s
-    return out
+# Cauchy products of polynomials
 
 
 def poly_cauchy(p: MPoly, q: MPoly, var: int = 0) -> MPoly:
     """Cauchy product along variable `var`:
 
     (p (x) q)(X, Y..) = sum_{i=0}^{X} p(i, Y..) q(X - i, Y..)
-    exactly, as a polynomial identity for integer X >= 0.
+    exactly, as a polynomial identity for integer X >= 0.  Its degree in
+    each variable is at most deg p + deg q + 1, so it is interpolated from
+    the exact sums on the grid {0..deg p + deg q + 1}^arity.
     """
     if p.arity != q.arity:
         raise ValueError("arity mismatch")
-    arity = p.arity
-    out = MPoly(arity)
-    for e1, c1 in p.terms.items():
-        for e2, c2 in q.terms.items():
-            conv = _mono_cauchy_1d(e1[var], e2[var])
-            rest = tuple(a + b if i != var else 0
-                         for i, (a, b) in enumerate(zip(e1, e2)))
-            for k, ck in enumerate(conv.coeffs):
-                if ck == 0:
-                    continue
-                e = tuple(rest[i] if i != var else k for i in range(arity))
-                out = out + MPoly(arity, {e: c1 * c2 * ck})
-    return out
+    if p.is_zero() or q.is_zero():
+        return MPoly(p.arity)
+
+    def value_at(x):
+        head, n, tail = x[:var], x[var], x[var + 1:]
+        return sum([p.eval(head + (i,) + tail) * q.eval(head + (n - i,) + tail)
+                    for i in range(n + 1)])
+
+    return interpolate_grid(p.arity, p.total_degree() + q.total_degree() + 1, 0, value_at)

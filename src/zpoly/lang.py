@@ -365,6 +365,18 @@ class Scanner:
         return node
 
 
+def unchain(node, tags):
+    """(first, rest) of a chain that `Scanner.chain` folded to the left:
+    `first` is its leftmost operand, and `rest` the (tag, operand) pairs
+    after it, in order.  Walking `rest` in a loop lets a long flat chain
+    be folded without recursion."""
+    rest = []
+    while node[0] in tags:
+        rest.append((node[0], node[2]))
+        node = node[1]
+    return node, rest[::-1]
+
+
 # ---------------------------------------------------------------------------
 # regex surface syntax
 #
@@ -443,12 +455,13 @@ def regex_to_dfa(node, alphabet: Alphabet) -> Dfa:
         return epsilon_language(alphabet)
     if tag == "lit":
         return letter_language(alphabet, node[1])
-    if tag == "or":
-        return union(regex_to_dfa(node[1], alphabet), regex_to_dfa(node[2], alphabet))
-    if tag == "and":
-        return intersect(regex_to_dfa(node[1], alphabet), regex_to_dfa(node[2], alphabet))
-    if tag == "cat":
-        return concat(regex_to_dfa(node[1], alphabet), regex_to_dfa(node[2], alphabet))
+    if tag in ("or", "and", "cat"):
+        node, rest = unchain(node, ("or", "and", "cat"))
+        dfa = regex_to_dfa(node, alphabet)
+        for tag, right in rest:
+            op = union if tag == "or" else intersect if tag == "and" else concat
+            dfa = op(dfa, regex_to_dfa(right, alphabet))
+        return dfa
     if tag == "not":
         return complement(regex_to_dfa(node[1], alphabet))
     if tag == "star":

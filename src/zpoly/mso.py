@@ -53,7 +53,8 @@ def free_vars(phi) -> frozenset:
     if tag == "not":
         return free_vars(phi[1])
     if tag in ("and", "or"):
-        return free_vars(phi[1]) | free_vars(phi[2])
+        first, rest = lang.unchain(phi, ("and", "or"))
+        return free_vars(first).union(*[free_vars(right) for _, right in rest])
     if tag == "exists":
         return free_vars(phi[2]) - {phi[1]}
     raise MsoError("unknown node %r" % (tag,))
@@ -74,8 +75,11 @@ def rename_bound(phi, counter=None, env=None):
     if tag == "not":
         return (tag, rename_bound(phi[1], counter, env))
     if tag in ("and", "or"):
-        return (tag, rename_bound(phi[1], counter, env),
-                rename_bound(phi[2], counter, env))
+        first, rest = lang.unchain(phi, ("and", "or"))
+        out = rename_bound(first, counter, env)
+        for tag, right in rest:
+            out = (tag, out, rename_bound(right, counter, env))
+        return out
     if tag == "exists":
         v = phi[1]
         fresh = ("%B" if is_so(v) else "%b") + str(next(counter))
@@ -211,15 +215,18 @@ def _compile(phi, base: Alphabet):
         out = lang.intersect(comp, _well_marked(base, tracks))
         return out, tracks
     if tag in ("and", "or"):
-        d1, t1 = _compile(phi[1], base)
-        d2, t2 = _compile(phi[2], base)
-        tracks = tuple(sorted(set(t1) | set(t2)))
-        d1 = _lift(d1, base, t1, tracks)
-        d2 = _lift(d2, base, t2, tracks)
-        out = lang.intersect(d1, d2) if tag == "and" else lang.union(d1, d2)
-        if out.n > STATE_CAP:
-            raise MsoError("state cap exceeded while compiling")
-        return out, tracks
+        first, rest = lang.unchain(phi, ("and", "or"))
+        d1, t1 = _compile(first, base)
+        for tag, right in rest:
+            d2, t2 = _compile(right, base)
+            tracks = tuple(sorted(set(t1) | set(t2)))
+            d1 = _lift(d1, base, t1, tracks)
+            d2 = _lift(d2, base, t2, tracks)
+            d1 = lang.intersect(d1, d2) if tag == "and" else lang.union(d1, d2)
+            t1 = tracks
+            if d1.n > STATE_CAP:
+                raise MsoError("state cap exceeded while compiling")
+        return d1, t1
     if tag == "exists":
         v = phi[1]
         sub, tracks = _compile(phi[2], base)

@@ -18,8 +18,8 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import (QMat, RowBasis, UPoly, char_poly, classify_roots, common_denominator,
-                    exact_entry)
+from .exact import (QMat, RowBasis, char_poly, classify_roots, common_denominator, exact_entry,
+                    poly_text)
 from .lang import Alphabet, text_alphabet
 
 
@@ -396,14 +396,14 @@ def spectrum_probe(rep: LinRep, mode: str, length_bound: int = 4,
 
     def polynomial(a_w, length):
         """det(X - mu(w)) from A_w, for a word w of the given length."""
-        return UPoly([Fraction(c, d ** (length * (rep.dim - j)))
-                      for j, c in enumerate(char_poly(a_w).coeffs)])
+        return tuple([exact_entry(Fraction(c, d ** (length * (rep.dim - j))))
+                      for j, c in enumerate(char_poly(a_w))])
 
     words = sorted(set(words))
     roots = {w: lyndon_root(w) for w in words}
     prefixes = [QMat.identity(rep.dim)]   # A_u for the prefixes u of the previous root
     prev = ()
-    violating = {}   # violating root r -> (A_r, repr of its polynomial)
+    violating = {}   # violating root r -> (A_r, text of its polynomial)
     for r in sorted({r for r, _ in roots.values()}):
         k = next((i for i, (x, y) in enumerate(zip(prev, r)) if x != y), min(len(prev), len(r)))
         del prefixes[k + 1:]
@@ -411,9 +411,9 @@ def spectrum_probe(rep: LinRep, mode: str, length_bound: int = 4,
             prefixes.append(prefixes[-1] * scaled[a])
         p = polynomial(prefixes[-1], len(r))
         if not classify_roots(p, mode):
-            violating[r] = (prefixes[-1], repr(p))
+            violating[r] = (prefixes[-1], poly_text(p))
         prev = r
-    powers = {}   # (r, e) with r violating -> repr of the violating polynomial, or None
+    powers = {}   # (r, e) with r violating -> text of the violating polynomial, or None
     violations = []
     for w in words:
         r, e = roots[w]
@@ -423,7 +423,7 @@ def spectrum_probe(rep: LinRep, mode: str, length_bound: int = 4,
             a_r, shown = violating[r]
             if e > 1:
                 p = polynomial(a_r.power(e), len(w))
-                shown = None if classify_roots(p, mode) else repr(p)
+                shown = None if classify_roots(p, mode) else poly_text(p)
             powers[r, e] = shown
         if powers[r, e] is not None:
             violations.append((w, powers[r, e]))

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from zpoly.exact import QMat, UPoly
+from zpoly.exact import QMat
 from zpoly.lang import (Alphabet, Dfa, RegexError, compile_regex, parse_alphabet_header,
                         universal_language)
 from zpoly.cplc import Cplc, ExprError, indicator_cplc, constant_cplc, zero_cplc
@@ -117,9 +117,10 @@ def rows_power(a, e: int):
     return result
 
 
-def char_poly(m: QMat) -> UPoly:
+def char_poly(m: QMat) -> tuple:
     """Characteristic polynomial by the Faddeev-LeVerrier recurrence over
-    Fraction: M_1 = m, c_k = -tr(M_k) / k, M_{k+1} = m (M_k + c_k)."""
+    Fraction: M_1 = m, c_k = -tr(M_k) / k, M_{k+1} = m (M_k + c_k).
+    Returns its coefficients from X^0 up, as Fractions."""
     n = m.nrows
     coeffs = [Fraction(1)]  # c_0 = 1 (leading)
     mk = QMat.identity(n)
@@ -130,12 +131,21 @@ def char_poly(m: QMat) -> UPoly:
         if k < n:
             mk = mk + QMat.identity(n).scale(ck)
     # coeffs are for X^n, X^{n-1}, ..., X^0
-    return UPoly(list(reversed(coeffs)))
+    return tuple(reversed(coeffs))
 
 
 # ---------------------------------------------------------------------------
 # root classification by cyclotomic division, on integer coefficient lists
 # (low degree first)
+
+
+def poly_mul(p, q):
+    """The coefficients of the product of two coefficient sequences."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return tuple(out)
 
 
 def poly_divmod(p, d):
@@ -165,15 +175,15 @@ def cyclotomic(n: int):
     return tuple(p)
 
 
-def oracle_classify_roots(p: UPoly, mode: str) -> bool:
+def oracle_classify_roots(p, mode: str) -> bool:
     """classify_roots by division: strip X, then divide out X - 1
     ("zero_one") or Phi_n for every n with phi(n) <= deg p
     ("zero_union_unity"; phi(n) >= sqrt(n / 2), so n <= 2 deg^2) as often
     as each divides, and ask whether 1 is left.  X^a (X-1)^b and X^a times
     cyclotomic polynomials are integral, so a non-integral p is neither."""
-    if any(c.denominator != 1 for c in p.coeffs):
+    if any(c.denominator != 1 for c in p):
         return False
-    q = [int(c) for c in p.coeffs]
+    q = [int(c) for c in p]
     q = q[next(i for i, c in enumerate(q) if c):]
     deg = len(q) - 1
     if mode == "zero_one":

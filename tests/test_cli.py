@@ -13,7 +13,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zpoly import cplc
-from zpoly.cli import InputError, build_parser, load_function, load_morphism, main
+from zpoly.analysis import SearchBudget
+from zpoly.cli import (InputError, build_parser, load_function, load_morphism, main,
+                        make_budget)
 
 SIGNED_ZEXPR = """alphabet = a
 ind(a(aa)*) . ind(a(aa)*) + ind((aa)*) . ind((aa)*)
@@ -196,6 +198,19 @@ def test_roots_of_unity_of_order_12_conform(files, capsys):
     for command in ("growth", "starfree"):
         code, out, err = run(capsys, command, path)
         assert code == 3 and not out and "polynomial-growth (Cauchy combination)" in err
+
+
+# mu(a) = [[1/2, 1], [0, 3]] has the characteristic polynomial (X - 1/2)(X - 3)
+FRACTIONAL_JSON = json.dumps({"alphabet": ["a", "b"], "dim": 2, "initial": ["1", "0"],
+                              "final": ["0", "1"],
+                              "matrices": {"a": [["1/2", "1"], ["0", "3"]],
+                                           "b": [["1", "0"], ["0", "1"]]}})
+
+
+def test_fractional_characteristic_polynomial_is_printed_exactly(files, capsys):
+    code, out, _ = run(capsys, "spectrum", files("frac.json", FRACTIONAL_JSON))
+    assert code == 1
+    assert "violation on 'a': characteristic polynomial 3/2 + -7/2*X + X^2\n" in out
 
 
 def test_exponential_input_elsewhere_is_malformed(files, capsys):
@@ -486,6 +501,33 @@ def test_input_nested_past_the_recursion_limit_is_undecided(files, capsys, comma
     path = files("deep.zexpr", "alphabet = a\nind(" + "(" * 3000 + "a" + ")" * 3001 + "\n")
     code, out, err = run(capsys, command, path)
     assert code == 2 and out.startswith("undecided: ") and not err
+
+
+FLAT_CHAINS = {   # name -> (text, word, value, whether growth reads degree 0 on it)
+    "union.zexpr": ("alphabet = a\nind(" + "|".join(["a"] * 3000) + ")\n", "a", 1, True),
+    "concat.zexpr": ("alphabet = a\nind(" + "()" * 3000 + "a)\n", "a", 1, True),
+    "sum.zexpr": ("alphabet = a\n" + " + ".join(["ind(a)"] * 3000) + "\n", "a", 3000, True),
+    "conjunction.zmso": ("alphabet = a b\ncount[x] " + " & ".join(["a(x)"] * 3000) + "\n",
+                         "aba", 2, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLAT_CHAINS))
+def test_long_flat_chains_are_folded_without_recursion(files, capsys, name):
+    """3000 operands in one flat chain of '|', concatenation, '+' or '&'
+    are folded in a loop, past the interpreter's recursion limit."""
+    text, word, value, degree_zero = FLAT_CHAINS[name]
+    path = files(name, text)
+    assert run(capsys, "eval", path, word) == (0, "%d\n" % value, "")
+    if degree_zero:
+        code, out, _ = run(capsys, "growth", path)
+        assert code == 0 and out == "degree 0\n"
+
+
+def test_budget_flags_default_to_the_search_budget():
+    for command in ("equiv", "growth", "rt", "starfree", "pump"):
+        inputs = ["f", "g"] if command == "equiv" else ["f"]
+        assert make_budget(build_parser().parse_args([command, *inputs])) == SearchBudget()
 
 
 # ---------------------------------------------------------------------------

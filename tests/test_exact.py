@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (cyclotomic, euler_phi, gauss_rank, is_exact_entry,
-                      oracle_classify_roots, rows_mul, rows_power)
-from zpoly.exact import (MPoly, QMat, RowBasis, UPoly, char_poly, classify_roots,
-                         interpolate_grid, poly_cauchy, power_sum)
+                      oracle_classify_roots, poly_mul, rows_mul, rows_power)
+from zpoly.exact import (MPoly, QMat, RowBasis, char_poly, classify_roots, interpolate_grid,
+                         newton_coefficients, newton_to_mpoly, poly_cauchy, poly_text)
 from zpoly.lang import Alphabet
 from zpoly.series import LinRep, reduce_minimize
 
@@ -102,64 +102,63 @@ def test_row_basis_against_rank_oracle(family):
                     for j in range(dim)] == list(v)
 
 
-def test_upoly_eval():
-    x = UPoly.x()
-    p = (x - UPoly.const(1)) * (x + UPoly.const(2))
-    assert p.eval(1) == 0 and p.eval(3) == 10
-
-
 def test_char_poly_companion():
     # companion matrix of X^2 - X - 1 (Fibonacci)
     m = QMat([[0, 1], [1, 1]])
-    p = char_poly(m)
-    x = UPoly.x()
-    assert p == x * x - x - UPoly.const(1)
+    assert char_poly(m) == (-1, -1, 1)
+    assert poly_text(char_poly(m)) == "-1 + -1*X + X^2"
 
 
 def test_char_poly_diagonal():
     m = QMat([[2, 0], [0, 3]])
-    x = UPoly.x()
-    assert char_poly(m) == (x - UPoly.const(2)) * (x - UPoly.const(3))
+    assert char_poly(m) == poly_mul((-2, 1), (-3, 1)) == (6, -5, 1)
+
+
+def test_poly_text():
+    assert poly_text((Fraction(3, 2), Fraction(-7, 2), 1)) == "3/2 + -7/2*X + X^2"
+    assert poly_text((0, 1, 0, 2)) == "X + 2*X^3"
+    assert poly_text(()) == poly_text((0, 0)) == "0"
 
 
 def test_classify_roots():
-    x = UPoly.x()
-    one = UPoly.const(1)
-    assert classify_roots(x * (x - one), "zero_one")
-    assert classify_roots(x * x, "zero_one")
-    assert not classify_roots(x + one, "zero_one")          # root -1
-    assert classify_roots(x + one, "zero_union_unity")      # -1 is a unity root
-    assert classify_roots((x * x + one) * x, "zero_union_unity")  # roots 0, +-i
-    assert not classify_roots(x - UPoly.const(2), "zero_union_unity")
-    assert not classify_roots(x * x - UPoly.const(2), "zero_union_unity")
+    x, half = (0, 1), (Fraction(-1, 2), 1)
+    assert classify_roots(poly_mul(x, (-1, 1)), "zero_one")
+    assert classify_roots((0, 0, 1), "zero_one")
+    assert not classify_roots((1, 1), "zero_one")          # root -1
+    assert classify_roots((1, 1), "zero_union_unity")      # -1 is a unity root
+    assert classify_roots((0, 1, 0, 1), "zero_union_unity")  # roots 0, +-i
+    assert not classify_roots((-2, 1), "zero_union_unity")
+    assert not classify_roots((-2, 0, 1), "zero_union_unity")
     # a non-integer coefficient: neither X^a (X-1)^b nor X^a times cyclotomics
-    assert not classify_roots(x - UPoly.const(Fraction(1, 2)), "zero_one")
-    assert not classify_roots(x - UPoly.const(Fraction(1, 2)), "zero_union_unity")
+    assert not classify_roots(half, "zero_one")
+    assert not classify_roots(half, "zero_union_unity")
+    for p in ((), (1, 2), (1, 0)):
+        with pytest.raises(ValueError, match="monic"):
+            classify_roots(p, "zero_one")
 
 
 # Phi_n for the n <= 60 with phi(n) <= 16
-CYCLOTOMIC = [UPoly(cyclotomic(n)) for n in range(1, 61) if euler_phi(n) <= 16]
-LEHMER = UPoly([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1])   # Mahler measure 1.176...
+CYCLOTOMIC = [cyclotomic(n) for n in range(1, 61) if euler_phi(n) <= 16]
+LEHMER = (1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1)   # Mahler measure 1.176...
 
 
 def root_corpus(rng, count):
     """X^a times products of cyclotomic polynomials of degree <= 16 (or of
     powers of X - 1), some with an extra factor X + 2 or X - 1/2, and
     random small monic integer polynomials."""
-    x = UPoly.x()
-    extras = [UPoly.const(1), x + UPoly.const(2), x - UPoly.const(Fraction(1, 2))]
+    extras = [(1,), (2, 1), (Fraction(-1, 2), 1)]
     for _ in range(count):
         if rng.random() < 0.3:
-            q = UPoly([rng.randint(-2, 2) for _ in range(rng.randint(0, 8))] + [1])
+            q = tuple([rng.randint(-2, 2) for _ in range(rng.randint(0, 8))] + [1])
         else:
             pool = CYCLOTOMIC if rng.random() < 0.8 else CYCLOTOMIC[:1]
-            q = UPoly.const(1)
+            q = (1,)
             for _ in range(rng.randint(0, 6)):
                 phi = rng.choice(pool)
-                if q.degree + phi.degree <= 16:
-                    q = q * phi
-            q = q * rng.choice(extras)
-        yield UPoly([0] * rng.randint(0, 2) + list(q.coeffs))
+                if len(q) + len(phi) - 2 <= 16:
+                    q = poly_mul(q, phi)
+            q = poly_mul(q, rng.choice(extras))
+        yield (0,) * rng.randint(0, 2) + q
 
 
 @pytest.mark.parametrize("mode", ["zero_one", "zero_union_unity"])
@@ -177,9 +176,9 @@ def test_classify_roots_on_every_small_cyclotomic():
     Lehmer's polynomial has a root of modulus 1.176..."""
     for phi in CYCLOTOMIC:
         assert classify_roots(phi, "zero_union_unity")
-        assert classify_roots(phi * phi * UPoly.x(), "zero_union_unity")
+        assert classify_roots((0,) + poly_mul(phi, phi), "zero_union_unity")
     assert not classify_roots(LEHMER, "zero_union_unity")
-    assert not classify_roots(LEHMER * UPoly(cyclotomic(12)), "zero_union_unity")
+    assert not classify_roots(poly_mul(LEHMER, cyclotomic(12)), "zero_union_unity")
 
 
 def test_mpoly_eval_and_degree():
@@ -209,14 +208,6 @@ def test_interpolation_round_trip_100_random():
         assert q == p
 
 
-def test_power_sum_closed_forms():
-    # sum_{i=0}^{n} i^p
-    for p in range(5):
-        sp = power_sum(p)
-        for n in range(8):
-            assert sp.eval(n) == sum(i ** p for i in range(n + 1))
-
-
 def test_poly_cauchy_vs_brute_100_random():
     """(p *c q)(X) = sum_{Y=0}^{X} p(Y) q(X - Y) in the convolved variable."""
     rng = random.Random(11)
@@ -236,18 +227,6 @@ def test_poly_cauchy_vs_brute_100_random():
                 qq[var] = point[var] - y
                 want += p.eval(pp) * q.eval(qq)
             assert r.eval(point) == want
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.integers(-5, 5), min_size=1, max_size=4),
-       st.lists(st.integers(-5, 5), min_size=1, max_size=4))
-def test_upoly_ring_laws(a, b):
-    p, q = UPoly(a), UPoly(b)
-    assert p + q == q + p
-    assert p * q == q * p
-    assert (p + q) - q == p
-    for x in (-2, 0, 3):
-        assert (p * q).eval(x) == p.eval(x) * q.eval(x)
 
 
 # ---------------------------------------------------------------------------
@@ -310,3 +289,35 @@ def test_series_operations_keep_the_normal_form(f, g, c):
     for v in probes + [tuple(x + y for x, y in zip(probes[0], probes[-1]))]:
         coords = basis.coords(v)
         assert coords is not None and all(is_exact_entry(x) for x in coords)
+
+
+@st.composite
+def mpolys(draw, arity):
+    """A polynomial of per-variable degree <= 2, its coefficients all ints or
+    all Fractions (some of them integral, such as 4/2)."""
+    entry = _entries(draw(st.booleans()))
+    monos = st.tuples(*[st.integers(0, 2)] * arity)
+    return MPoly(arity, draw(st.dictionaries(monos, entry, max_size=4)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(square_matrices(), st.integers(1, 2).flatmap(lambda n: st.tuples(mpolys(n), mpolys(n))),
+       st.integers(-3, 3))
+def test_polynomials_keep_the_normal_form(m, pair, x0):
+    """char_poly of an integer matrix is all ints; the coefficients of
+    char_poly, of interpolation, of Newton forms and of Cauchy products
+    are in the normal form."""
+    p, q = pair
+    if all(type(x) is int for r in m.rows for x in r):
+        assert all(type(c) is int for c in char_poly(m))
+    assert all(is_exact_entry(c) for c in char_poly(m))
+    arity = p.arity
+    values = [p.eval([x0 + i for i in t]) for t in itertools.product(range(5), repeat=arity)
+              if sum(t) <= 4]
+    fits = [interpolate_grid(arity, 2, x0, p.eval),
+            newton_to_mpoly(newton_coefficients(values, arity, 4), arity, 4, x0),
+            poly_cauchy(p, q, arity - 1), p * q, p + q, p.scale(Fraction(2, 3))]
+    assert fits[0] == fits[1] == p
+    for r in fits:
+        assert all(is_exact_entry(c) for c in r.terms.values())
+    assert is_exact_entry(p.eval([x0] * arity))

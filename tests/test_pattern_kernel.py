@@ -29,7 +29,7 @@ from zpoly.analysis import (Analysis, PatternVerificationError, SearchBudget, gr
                             pattern_polynomial, ultimate_poly_check)
 from zpoly.cplc import (Cplc, PumpingPattern, expression_to_cplc, indicator_cplc,
                         parse_expression)
-from zpoly.exact import MPoly, QMat, UPoly, newton_degree, newton_to_mpoly, simplex_points
+from zpoly.exact import MPoly, QMat, newton_degree, newton_to_mpoly, simplex_points
 from zpoly.forests import ForestNode, extract_patterns
 from zpoly.lang import Alphabet, compile_regex
 
@@ -44,10 +44,10 @@ def oracle_interpolate(arity, d, x0, value_at):
     nodes = list(range(x0, x0 + d + 1))
     basis = []
     for j, xj in enumerate(nodes):
-        p = UPoly.const(1)
+        p = MPoly.const(1, 1)
         for m, xm in enumerate(nodes):
             if m != j:
-                p = p * UPoly([Fraction(-xm, 1) / (xj - xm), Fraction(1, xj - xm)])
+                p = p * MPoly(1, {(0,): Fraction(-xm, 1) / (xj - xm), (1,): Fraction(1, xj - xm)})
         basis.append(p)
     if arity == 0:
         return MPoly.const(0, value_at(()))
@@ -59,7 +59,7 @@ def oracle_interpolate(arity, d, x0, value_at):
         mono = MPoly.const(arity, val)
         for var, i in enumerate(idx):
             mono = mono * MPoly(arity, {tuple(k if v == var else 0 for v in range(arity)): c
-                                        for k, c in enumerate(basis[i].coeffs)})
+                                        for (k,), c in basis[i].terms.items()})
         result = result + mono
     return result
 

@@ -21,7 +21,7 @@ from conftest import lyndon_root as oracle_lyndon_root
 from conftest import twelve_term_function
 from zpoly import series
 from zpoly.cplc import indicator_cplc
-from zpoly.exact import QMat, char_poly, classify_roots, common_denominator
+from zpoly.exact import QMat, char_poly, classify_roots, common_denominator, poly_text
 from zpoly.lang import Alphabet, compile_regex
 from zpoly.series import LinRep, SpectrumReport, lyndon_root, minimize, spectrum_probe
 
@@ -109,7 +109,7 @@ def oracle_report(rep, mode, words, polys):
         if w not in polys:
             polys[w] = oracle_char_poly(rep.word_matrix(w))
         if not classify_roots(polys[w], mode):
-            violations.append((w, repr(polys[w])))
+            violations.append((w, poly_text(polys[w])))
     return SpectrumReport(not violations, mode, len(words), violations)
 
 
@@ -174,7 +174,7 @@ def scaled_back_report(rep, mode, words):
             a_w = a_w * rep.mats[a].scale(d)
         p = char_poly(a_w.scale(Fraction(1, d ** len(w))))
         if not classify_roots(p, mode):
-            violations.append((w, repr(p)))
+            violations.append((w, poly_text(p)))
     return SpectrumReport(not violations, mode, len(words), violations)
 
 
