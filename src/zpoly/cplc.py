@@ -377,36 +377,39 @@ def _term(s: lang.Scanner, alphabet: Alphabet):
 
 
 def _factor(s: lang.Scanner, alphabet: Alphabet):
-    c = s.peek()
-    if c is None:
-        s.fail("unexpected end of expression")
-    if s.take("("):
-        node = _expr(s, alphabet)
-        s.expect(")")
-        return node
-    if c == "-" or c in _DIGITS:
+    scales = []   # the prefixes `-` and `INT *`, read in a loop
+    while s.peek() == "-" or s.peek() in _DIGITS:
         start = s.pos
         s.pos += 1
         while s.text[s.pos:s.pos + 1] in _DIGITS:
             s.pos += 1
-        if s.text[start:s.pos] == "-":
-            return ("scale", -1, _factor(s, alphabet))
-        value = int(s.text[start:s.pos])
-        if s.take("*"):
-            return ("scale", value, _factor(s, alphabet))
-        return ("int", value)
-    if s.word("ind"):
-        s.expect("(")
-        start = s.pos
-        lang.regex_union(s, alphabet)   # checked here, compiled by the fold
-        s.expect(")")
-        return ("ind", s.text[start:s.pos - 1])
-    if s.word("star"):
-        s.expect("(")
-        node = _expr(s, alphabet)
-        s.expect(")")
-        return ("star", node)
-    s.fail("unexpected character %r" % c)
+        text = s.text[start:s.pos]
+        if text != "-" and not s.take("*"):
+            node = ("int", int(text))
+            break
+        scales.append(-1 if text == "-" else int(text))
+    else:
+        c = s.peek()
+        if c is None:
+            s.fail("unexpected end of expression")
+        if s.take("("):
+            node = _expr(s, alphabet)
+            s.expect(")")
+        elif s.word("ind"):
+            s.expect("(")
+            start = s.pos
+            lang.regex_union(s, alphabet)   # checked here, compiled by the fold
+            s.expect(")")
+            node = ("ind", s.text[start:s.pos - 1])
+        elif s.word("star"):
+            s.expect("(")
+            node = ("star", _expr(s, alphabet))
+            s.expect(")")
+        else:
+            s.fail("unexpected character %r" % c)
+    for value in reversed(scales):
+        node = ("scale", value, node)
+    return node
 
 
 def expression_uses_star(ast) -> bool:
@@ -434,8 +437,11 @@ def _fold_expression(alphabet: Alphabet, ast, indicator):
             return indicators[node[1]]
         if tag == "int":
             return indicator(lang.universal_language(alphabet)).scale(node[1])
-        if tag == "scale":
-            return fold(node[2]).scale(node[1])
+        if tag == "scale":   # a run of scales is one product, folded in a loop
+            factor = 1
+            while node[0] == "scale":
+                factor, node = factor * node[1], node[2]
+            return fold(node).scale(factor)
         if tag in ("add", "sub", "cauchy"):
             node, rest = lang.unchain(node, ("add", "sub", "cauchy"))
             value = fold(node)

@@ -420,9 +420,14 @@ def _regex_concat(s: Scanner, alphabet: Alphabet):
 
 
 def _regex_unary(s: Scanner, alphabet: Alphabet):
-    node = ("not", _regex_unary(s, alphabet)) if s.take("!") else _regex_atom(s, alphabet)
+    negations = 0
+    while s.take("!"):
+        negations += 1
+    node = _regex_atom(s, alphabet)
     while s.take("*"):
         node = ("star", node)
+    for _ in range(negations):
+        node = ("not", node)
     return node
 
 
@@ -462,10 +467,18 @@ def regex_to_dfa(node, alphabet: Alphabet) -> Dfa:
             op = union if tag == "or" else intersect if tag == "and" else concat
             dfa = op(dfa, regex_to_dfa(right, alphabet))
         return dfa
-    if tag == "not":
-        return complement(regex_to_dfa(node[1], alphabet))
-    if tag == "star":
-        return star(regex_to_dfa(node[1], alphabet))
+    if tag in ("not", "star"):
+        ops = []   # a run of unary operators, outermost first: !!e = e, (e*)* = e*
+        while node[0] in ("not", "star"):
+            if ops[-1:] != [node[0]]:
+                ops.append(node[0])
+            elif node[0] == "not":
+                ops.pop()
+            node = node[1]
+        dfa = regex_to_dfa(node, alphabet)
+        for unary in reversed(ops):
+            dfa = complement(dfa) if unary == "not" else star(dfa)
+        return dfa
     raise RegexError("unknown AST node %r" % (tag,))
 
 

@@ -5,11 +5,19 @@ First-order variables (lowercase names) range over positions, second-order
 variables (capitalized names) over sets of positions.
 
 Formulas compile to "marked automata": DFAs over the alphabet A x {0,1}^k
-whose extra tracks carry the valuation, with first-order tracks marked at
-exactly one position.  Counting accepting runs over all markings gives an
-integer linear representation; for purely first-order formulas a split on
-the variables achieving the minimal position turns the count into an
-integer combination of Cauchy products of indicators.
+whose extra tracks carry the valuation.  Every automaton of a compile is
+well-marked: each of its first-order tracks is marked at exactly one
+position.  A lift to more tracks leaves the added ones free, so it adds a
+single-mark product only where nothing else marks them: under `|`, for a
+quantified variable that does not occur, and for declared variables that
+the formula does not use.  Under `&` the other operand, well-marked on its
+own tracks, already marks each of them once.
+
+Counting accepting runs over all markings gives an integer linear
+representation; for purely first-order formulas a split on the variables
+achieving the minimal position turns the count into an integer combination
+of Cauchy products of indicators.  Many splits leave the same suffix
+automaton, and one call splits each distinct suffix once.
 """
 
 from __future__ import annotations
@@ -42,58 +50,36 @@ def is_so(name: str) -> bool:
 #   ('not', p)  ('and', p, q)  ('or', p, q)  ('exists', v, p)
 
 
+def _operands(phi, tag) -> list:
+    """The operands of a tree of `tag` nodes, left to right: `&` and `|` are
+    associative, so one loop reads a chain however it nests."""
+    out, todo = [], [phi]
+    while todo:
+        node = todo.pop()
+        if node[0] == tag:
+            todo += (node[2], node[1])
+        else:
+            out.append(node)
+    return out
+
+
 def free_vars(phi) -> frozenset:
-    tag = phi[0]
-    if tag in ("true", "false"):
-        return frozenset()
-    if tag == "letter":
-        return frozenset([phi[2]])
-    if tag in ("less", "eq", "in"):
-        return frozenset([phi[1], phi[2]])
-    if tag == "not":
-        return free_vars(phi[1])
-    if tag in ("and", "or"):
-        first, rest = lang.unchain(phi, ("and", "or"))
-        return free_vars(first).union(*[free_vars(right) for _, right in rest])
-    if tag == "exists":
-        return free_vars(phi[2]) - {phi[1]}
-    raise MsoError("unknown node %r" % (tag,))
-
-
-def rename_bound(phi, counter=None, env=None):
-    """Alpha-rename bound variables apart (prefixing '%'), preserving kind."""
-    if counter is None:
-        counter = itertools.count()
-    env = env or {}
-    tag = phi[0]
-    if tag in ("true", "false"):
-        return phi
-    if tag == "letter":
-        return (tag, phi[1], env.get(phi[2], phi[2]))
-    if tag in ("less", "eq", "in"):
-        return (tag, env.get(phi[1], phi[1]), env.get(phi[2], phi[2]))
-    if tag == "not":
-        return (tag, rename_bound(phi[1], counter, env))
-    if tag in ("and", "or"):
-        first, rest = lang.unchain(phi, ("and", "or"))
-        out = rename_bound(first, counter, env)
-        for tag, right in rest:
-            out = (tag, out, rename_bound(right, counter, env))
-        return out
-    if tag == "exists":
-        v = phi[1]
-        fresh = ("%B" if is_so(v) else "%b") + str(next(counter))
-        env2 = dict(env)
-        env2[v] = fresh
-        return (tag, fresh, rename_bound(phi[2], counter, env2))
-    raise MsoError("unknown node %r" % (tag,))
-
-
-# the '%b'/'%B' internal prefix keeps kind detection working
-def _kind(name: str) -> str:
-    if name.startswith("%"):
-        return "so" if name[1] == "B" else "fo"
-    return "so" if is_so(name) else "fo"
+    out = set()
+    todo = [(phi, frozenset())]   # (node, the variables bound above it)
+    while todo:
+        node, bound = todo.pop()
+        tag = node[0]
+        if tag == "letter":
+            out.update({node[2]} - bound)
+        elif tag in ("less", "eq", "in"):
+            out.update({node[1], node[2]} - bound)
+        elif tag in ("not", "and", "or"):
+            todo.extend((child, bound) for child in node[1:])
+        elif tag == "exists":
+            todo.append((node[2], bound | {node[1]}))
+        elif tag not in ("true", "false"):
+            raise MsoError("unknown node %r" % (tag,))
+    return frozenset(out)
 
 
 # ---------------------------------------------------------------------------
@@ -105,155 +91,170 @@ def tracked_alphabet(base: Alphabet, k: int) -> Alphabet:
                      for bits in itertools.product((0, 1), repeat=k)])
 
 
-def _single_mark(base: Alphabet, tracks, marks, valid=lambda b, bits: True) -> Dfa:
+class _Shared:
+    """What one call builds once and reuses, keyed on its arguments: tracked
+    alphabets, letter maps of lifts and restrictions, well-marked automata,
+    and the Cauchy combination of each suffix automaton split so far."""
+
+    def __init__(self, base: Alphabet):
+        self.base = base
+        self.built = {}
+
+    def once(self, key, build):
+        if key not in self.built:
+            self.built[key] = build()
+        return self.built[key]
+
+    def alphabet(self, k: int) -> Alphabet:
+        return self.once(("alphabet", k), lambda: tracked_alphabet(self.base, k))
+
+    def well_marked(self, tracks) -> Dfa:
+        """The words whose first-order tracks are each marked exactly once."""
+        def build():
+            fo = frozenset(i for i, t in enumerate(tracks) if not is_so(t))
+
+            def step(seen, letter):   # the tracks marked so far; None once one is marked twice
+                hit = fo.intersection([i for i, bit in enumerate(letter[1]) if bit])
+                return None if seen is None or seen & hit else seen | hit
+
+            return lang.explore(self.alphabet(len(tracks)), frozenset(), step,
+                                lambda seen: seen == fo).canonical()
+        return self.once(("well-marked", tracks), build)
+
+    def lift(self, dfa: Dfa, old_tracks, new_tracks, mark: bool) -> Dfa:
+        """Cylindrify from old_tracks to new_tracks (a supersequence as a set).
+        With `mark`, each added first-order track is marked exactly once: dfa is
+        well-marked on old_tracks, so new_tracks' well-marked words add just that."""
+        if old_tracks == new_tracks:
+            return dfa
+        al = self.alphabet(len(new_tracks))
+        old = self.once(("lift", old_tracks, new_tracks), lambda: [
+            (a, tuple(bits[new_tracks.index(t)] for t in old_tracks)) for a, bits in al])
+        out = Dfa(al, dfa.n, dfa.initial, dfa.accepting,
+                  {letter: dfa.delta[o] for letter, o in zip(al, old)})
+        if mark and any(not is_so(t) for t in set(new_tracks) - set(old_tracks)):
+            return lang.intersect(out, self.well_marked(new_tracks))
+        return out   # not canonical: the product it enters, or the caller, makes it so
+
+    def project(self, dfa: Dfa, tracks, i: int) -> Dfa:
+        """Existentially quantify track i: erase it, determinize the result."""
+        al = self.alphabet(len(tracks) - 1)
+        rows = {(a, bits): [dfa.delta[(a, bits[:i] + (bit,) + bits[i:])] for bit in (0, 1)]
+                for (a, bits) in al}
+
+        def step(states, letter):
+            return frozenset([row[q] for row in rows[letter] for q in states])
+
+        return lang.explore(al, frozenset([dfa.initial]), step,
+                            lambda states: not dfa.accepting.isdisjoint(states)).canonical()
+
+    def restrict(self, marked: Dfa, k: int, pset, q: int) -> Dfa:
+        """The suffix automaton: start from q, keep the tracks outside pset
+        (those in pset are forced to zero)."""
+        keep = [i for i in range(k) if i not in pset]
+        al = self.alphabet(len(keep))
+        full = self.once(("restrict", k, pset), lambda: [
+            (a, tuple(bits[keep.index(i)] if i in keep else 0 for i in range(k)))
+            for a, bits in al])
+        return Dfa(al, marked.n, q, marked.accepting,
+                   {letter: marked.delta[f] for letter, f in zip(al, full)}).canonical()
+
+
+def _single_mark(al: Alphabet, marks, valid=lambda b, bits: True) -> Dfa:
     """Words with exactly one position marked on the tracks `marks`, where
     `valid(letter, bits)` holds.  States: 0 unmarked, 1 marked, 2 dead."""
-    al = tracked_alphabet(base, len(tracks))
     delta = {}
     for (b, bits) in al:
         if any(bits[i] for i in marks):
             delta[(b, bits)] = (1 if valid(b, bits) else 2, 2, 2)
         else:
             delta[(b, bits)] = (0, 1, 2)
-    return Dfa(al, 3, 0, (1,), delta).canonical()
+    return Dfa(al, 3, 0, (1,), delta)
 
 
-def _well_marked(base: Alphabet, tracks) -> Dfa:
-    out = lang.universal_language(tracked_alphabet(base, len(tracks)))
-    for i, t in enumerate(tracks):
-        if _kind(t) == "fo":
-            out = lang.intersect(out, _single_mark(base, tracks, (i,)))
-    return out
-
-
-def _lift(dfa: Dfa, base: Alphabet, old_tracks, new_tracks) -> Dfa:
-    """Cylindrify from old_tracks to new_tracks (a supersequence as a set),
-    re-imposing the single-mark constraint on added first-order tracks."""
-    pos = {t: i for i, t in enumerate(old_tracks)}
-    al = tracked_alphabet(base, len(new_tracks))
-    delta = {}
-    for (a, bits) in al:
-        old_bits = tuple(bits[new_tracks.index(t)] for t in old_tracks)
-        delta[(a, bits)] = dfa.delta[(a, old_bits)]
-    out = Dfa(al, dfa.n, dfa.initial, dfa.accepting, delta)
-    for i, t in enumerate(new_tracks):
-        if t not in pos and _kind(t) == "fo":
-            out = lang.intersect(out, _single_mark(base, new_tracks, (i,)))
-    return out.canonical()
-
-
-def _atom_less(base: Alphabet, tracks, xi, yi) -> Dfa:
-    al = tracked_alphabet(base, len(tracks))
+def _atom_less(al: Alphabet, xi, yi) -> Dfa:
     # 0: neither seen, 1: x seen, 2: x then y, 3: dead
-    delta = {}
-    for (b, bits) in al:
-        bx, by = bits[xi], bits[yi]
-        row = [0, 1, 2, 3]
-        if bx and by:
-            row[0] = 3
-        elif bx:
-            row[0] = 1
-        elif by:
-            row[0] = 3
-        if bx:
-            row[1] = 3
-        elif by:
-            row[1] = 2
-        if bx or by:
-            row[2] = 3
-        delta[(b, bits)] = tuple(row)
-    return Dfa(al, 4, 0, (2,), delta).canonical()
+    delta = {(b, bits): (3 if bits[yi] else int(bits[xi]), 3 if bits[xi] else 1 + bits[yi],
+                         3 if bits[xi] or bits[yi] else 2, 3) for (b, bits) in al}
+    return Dfa(al, 4, 0, (2,), delta)
 
 
-def _project_track(dfa: Dfa, base: Alphabet, tracks, t_index) -> Dfa:
-    """Existentially quantify a track: erase it, determinize the result."""
-    al = tracked_alphabet(base, len(tracks) - 1)
-    rows = {(a, bits): [dfa.delta[(a, bits[:t_index] + (bit,) + bits[t_index:])]
-                        for bit in (0, 1)]
-            for (a, bits) in al}
-
-    def step(states, letter):
-        return frozenset([row[q] for row in rows[letter] for q in states])
-
-    return lang.explore(al, frozenset([dfa.initial]), step,
-                        lambda states: not dfa.accepting.isdisjoint(states)).canonical()
-
-
-def _compile(phi, base: Alphabet):
-    """Returns (dfa, tracks); tracks is the sorted tuple of free variables.
-    Invariant: the language is contained in the well-marked words of its
-    first-order tracks."""
+def _compile(phi, shared: _Shared):
+    """Returns (dfa, tracks), tracks the sorted free variables; an atom's dfa
+    is not canonical yet.  Invariant: the language is well-marked on its
+    first-order tracks.  Bound variables need no renaming apart: `exists`
+    projects its variable's track away, so nothing outside it sees it."""
     tag = phi[0]
     if tag in ("true", "false"):
-        al = tracked_alphabet(base, 0)
+        al = shared.alphabet(0)
         d = lang.universal_language(al) if tag == "true" else lang.empty_language(al)
         return d, ()
     if tag == "letter":
-        tracks = (phi[2],)
-        return _single_mark(base, tracks, (0,), lambda b, bits: b == phi[1]), tracks
+        return _single_mark(shared.alphabet(1), (0,), lambda b, bits: b == phi[1]), (phi[2],)
     if tag in ("less", "eq", "in"):
         x, y = phi[1], phi[2]
         if x == y:
             if tag == "eq":
-                tracks = (x,)
-                return _single_mark(base, tracks, (0,)), tracks
+                return _single_mark(shared.alphabet(1), (0,)), (x,)
             if tag == "less":
-                tracks = (x,)
-                return lang.empty_language(tracked_alphabet(base, 1)), tracks
+                return lang.empty_language(shared.alphabet(1)), (x,)
             raise MsoError("variable cannot be a member of itself")
         tracks = tuple(sorted((x, y)))
-        xi, yi = tracks.index(x), tracks.index(y)
+        al, xi, yi = shared.alphabet(2), tracks.index(x), tracks.index(y)
         if tag == "less":
-            return _atom_less(base, tracks, xi, yi), tracks
+            return _atom_less(al, xi, yi), tracks
         if tag == "eq":   # one position carries both marks
-            both = lambda b, bits: bits[xi] and bits[yi]
-            return _single_mark(base, tracks, (xi, yi), both), tracks
-        return _single_mark(base, tracks, (xi,), lambda b, bits: bits[yi]), tracks
+            return _single_mark(al, (xi, yi), lambda b, bits: bits[xi] and bits[yi]), tracks
+        return _single_mark(al, (xi,), lambda b, bits: bits[yi]), tracks
     if tag == "not":
-        sub, tracks = _compile(phi[1], base)
-        comp = lang.complement(sub)
-        out = lang.intersect(comp, _well_marked(base, tracks))
-        return out, tracks
+        # a run of negations folds to its parity: WM & !(WM & !L) = L for a well-marked L
+        negations = 0
+        while phi[0] == "not":
+            phi, negations = phi[1], negations + 1
+        sub, tracks = _compile(phi, shared)
+        if negations % 2:
+            sub = lang.intersect(lang.complement(sub), shared.well_marked(tracks))
+        return sub, tracks
     if tag in ("and", "or"):
-        first, rest = lang.unchain(phi, ("and", "or"))
-        d1, t1 = _compile(first, base)
-        for tag, right in rest:
-            d2, t2 = _compile(right, base)
+        # a conjunct marks its own tracks, so an `&` lift only cylindrifies
+        first, *rest = _operands(phi, tag)
+        d1, t1 = _compile(first, shared)
+        for right in rest:
+            d2, t2 = _compile(right, shared)
             tracks = tuple(sorted(set(t1) | set(t2)))
-            d1 = _lift(d1, base, t1, tracks)
-            d2 = _lift(d2, base, t2, tracks)
-            d1 = lang.intersect(d1, d2) if tag == "and" else lang.union(d1, d2)
+            d1 = (lang.intersect if tag == "and" else lang.union)(
+                shared.lift(d1, t1, tracks, tag == "or"), shared.lift(d2, t2, tracks, tag == "or"))
             t1 = tracks
             if d1.n > STATE_CAP:
                 raise MsoError("state cap exceeded while compiling")
         return d1, t1
     if tag == "exists":
         v = phi[1]
-        sub, tracks = _compile(phi[2], base)
+        sub, tracks = _compile(phi[2], shared)
         if v not in tracks:
             # quantifying a variable that does not occur: a first-order
             # witness needs a position, so conjoin a fresh single-mark track
-            if _kind(v) == "so":
+            if is_so(v):
                 return sub, tracks
             tracks2 = tuple(sorted(set(tracks) | {v}))
-            sub = _lift(sub, base, tracks, tracks2)
-            tracks = tracks2
-        out = _project_track(sub, base, tracks, tracks.index(v))
+            sub, tracks = shared.lift(sub, tracks, tracks2, True), tracks2
+        i = tracks.index(v)
+        out = shared.project(sub, tracks, i)
         if out.n > STATE_CAP:
             raise MsoError("state cap exceeded while compiling")
-        return out, tracks[:tracks.index(v)] + tracks[tracks.index(v) + 1:]
+        return out, tracks[:i] + tracks[i + 1:]
     raise MsoError("unknown node %r" % (tag,))
 
 
 def compile_marked_automaton(phi, variables, base: Alphabet) -> Dfa:
     """The canonical DFA over A x {0,1}^k recognizing satisfying markings,
     with tracks in the declared variable order."""
-    phi = rename_bound(phi)
     fv = free_vars(phi)
     if not fv <= set(variables):
         raise MsoError("free variables %r not declared" % (sorted(fv - set(variables)),))
-    dfa, tracks = _compile(phi, base)
-    return _lift(dfa, base, tracks, tuple(variables))
+    shared = _Shared(base)
+    dfa, tracks = _compile(phi, shared)
+    return shared.lift(dfa, tracks, tuple(variables), True).canonical()
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +287,7 @@ def count_sets_to_linrep(phi, variables, base: Alphabet) -> LinRep:
     """Same as count_to_linrep; second-order variables are simply
     unconstrained tracks, so exponential growth is possible."""
     for v in variables:
-        if _kind(v) == "fo":
+        if not is_so(v):
             raise MsoError("count_sets expects second-order variables only")
     return count_to_linrep(phi, variables, base)
 
@@ -296,7 +297,9 @@ def _min_split_languages(marked: Dfa, base: Alphabet, k: int, pset) -> dict:
     automaton on u with the tracks in `pset` marked at the last position
     (and nothing else) reaches q, where any does.  States (p, r): the run
     with no marks is in p, the run that marks the letter just read is in r
-    (None before the first letter); one exploration serves every q."""
+    (None before the first letter); one exploration serves every q.  The
+    dead state, the one every letter keeps (on first-order tracks a mark
+    leads out of an accepting state), is left out: no split through it counts."""
     chi = tuple(1 if i in pset else 0 for i in range(k))
     zero = (0,) * k
     rows = {a: (marked.delta[(a, zero)], marked.delta[(a, chi)]) for a in base}
@@ -307,28 +310,16 @@ def _min_split_languages(marked: Dfa, base: Alphabet, k: int, pset) -> dict:
 
     marks = []   # r of each state, in the numbering
     pairs = lang.explore(base, (marked.initial, None), step, lambda s: marks.append(s[1]))
+    dead = {q for q, succ in enumerate(zip(*marked.delta.values())) if set(succ) == {q}}
     return {q: lang.with_accepting(pairs, [i for i, r in enumerate(marks) if r == q])
-            for q in sorted(set(marks) - {None})}
+            for q in sorted(set(marks) - {None} - dead)}
 
 
-def _restrict_tracks(marked: Dfa, base: Alphabet, k: int, pset, q: int) -> Dfa:
-    """The suffix automaton: start from q, keep the tracks outside pset
-    (those in pset are forced to zero)."""
-    keep = [i for i in range(k) if i not in pset]
-    al = tracked_alphabet(base, len(keep))
-    delta = {}
-    for (a, bits) in al:
-        full = [0] * k
-        for i, b in zip(keep, bits):
-            full[i] = b
-        delta[(a, bits)] = marked.delta[(a, tuple(full))]
-    return Dfa(al, marked.n, q, marked.accepting, delta).canonical()
-
-
-def _cplc_from_marked(marked: Dfa, base: Alphabet, k: int) -> Cplc:
+def _cplc_from_marked(shared: _Shared, marked: Dfa, k: int) -> Cplc:
     """One term per split (the tracks marked at the least marked position,
     the state q reached there) and per term of the suffix count from q,
-    collected first and normalized once."""
+    collected first and normalized once; `shared` keeps each distinct suffix's count."""
+    base = shared.base
     if k == 0:
         plain_delta = {a: marked.delta[(a, ())] for a in base}
         plain = Dfa(base, marked.n, marked.initial, marked.accepting,
@@ -339,9 +330,10 @@ def _cplc_from_marked(marked: Dfa, base: Alphabet, k: int) -> Cplc:
         for pset in itertools.combinations(range(k), size):
             pset = frozenset(pset)
             for q, prefix in _min_split_languages(marked, base, k, pset).items():
-                suffix = _restrict_tracks(marked, base, k, pset, q)
-                terms.extend((coef, (prefix,) + fs)
-                             for coef, fs in _cplc_from_marked(suffix, base, k - size).terms)
+                suffix = shared.restrict(marked, k, pset, q)
+                inner = shared.once(("split", suffix.key()),   # its alphabet carries k - size
+                                    lambda: _cplc_from_marked(shared, suffix, k - size))
+                terms.extend((coef, (prefix,) + fs) for coef, fs in inner.terms)
     return Cplc(base, terms)
 
 
@@ -350,14 +342,15 @@ def count_to_cplc(phi, variables, base: Alphabet) -> Cplc:
 
     The recursion splits every valuation on the set of variables taking the
     minimal position and on the automaton state reached there; all declared
-    variables must be first-order.
+    variables must be first-order.  Each distinct suffix automaton is split
+    once per call.
     """
     for v in variables:
-        if _kind(v) == "so":
+        if is_so(v):
             raise MsoError("count_to_cplc requires first-order variables; "
                            "use count_to_linrep for %r" % (v,))
     marked = compile_marked_automaton(phi, variables, base)
-    return _cplc_from_marked(marked, base, len(variables))
+    return _cplc_from_marked(_Shared(base), marked, len(variables))
 
 
 # ---------------------------------------------------------------------------
@@ -383,30 +376,38 @@ class _FormulaParser(lang.Scanner):
         return names
 
     def formula(self):
-        left = self.chain(self.conjunction, {"|": "or"})
-        if self.take("->"):
-            return ("or", ("not", left), self.formula())
-        return left
+        """`->` nests to the right; its operands are read in a loop."""
+        parts = [self.chain(self.conjunction, {"|": "or"})]
+        while self.take("->"):
+            parts.append(self.chain(self.conjunction, {"|": "or"}))
+        node = parts.pop()
+        for left in reversed(parts):
+            node = ("or", ("not", left), node)
+        return node
 
     def conjunction(self):
         return self.chain(self.unary, {"&": "and"})
 
     def unary(self):
-        if self.take("!"):
-            return ("not", self.unary())
+        negations = 0
+        while self.take("!"):
+            negations += 1
         if self.word("exists"):
             v = self.ident()
             self.expect(".")
-            return ("exists", v, self.formula())
-        if self.word("forall"):
+            node = ("exists", v, self.formula())
+        elif self.word("forall"):
             v = self.ident()
             self.expect(".")
-            return ("not", ("exists", v, ("not", self.formula())))
-        if self.take("("):
+            node = ("not", ("exists", v, ("not", self.formula())))
+        elif self.take("("):
             node = self.formula()
             self.expect(")")
-            return node
-        return self.atom()
+        else:
+            node = self.atom()
+        for _ in range(negations):
+            node = ("not", node)
+        return node
 
     def atom(self):
         if self.word("true"):

@@ -17,8 +17,8 @@ from fractions import Fraction
 import pytest
 
 from zpoly.exact import QMat
-from zpoly.lang import (Alphabet, Dfa, RegexError, compile_regex, parse_alphabet_header,
-                        universal_language)
+from zpoly.lang import (Alphabet, Dfa, RegexError, compile_regex, complement, empty_language,
+                        intersect, parse_alphabet_header, union, universal_language)
 from zpoly.cplc import Cplc, ExprError, indicator_cplc, constant_cplc, zero_cplc
 from zpoly.mso import MsoError, is_so, tracked_alphabet
 
@@ -403,6 +403,113 @@ def cplc_from_marked(marked, base, k) -> Cplc:
                 if not inner.is_zero_syntactic():
                     result = result.add(indicator_cplc(prefix).cauchy(inner))
     return result
+
+
+# ---------------------------------------------------------------------------
+# marked automata with a single-mark product at every lift
+
+
+def _first_order(track) -> bool:
+    return not is_so(track.lstrip("%"))   # bound tracks are renamed to '%b…' or '%B…'
+
+
+def _single_mark(tracks, base, marks, valid=lambda b, bits: True) -> Dfa:
+    """Words with exactly one position marked on the tracks `marks`, at a
+    letter where `valid(letter, bits)` holds."""
+    al = tracked_alphabet(base, len(tracks))
+    delta = {(b, bits): ((1 if valid(b, bits) else 2, 2, 2) if any(bits[i] for i in marks)
+                         else (0, 1, 2)) for (b, bits) in al}
+    return Dfa(al, 3, 0, (1,), delta).canonical()
+
+
+def _reference_lift(dfa, base, old_tracks, new_tracks) -> Dfa:
+    """Cylindrify to new_tracks, then intersect one single-mark automaton
+    per added first-order track, whatever the context of the lift."""
+    al = tracked_alphabet(base, len(new_tracks))
+    out = Dfa(al, dfa.n, dfa.initial, dfa.accepting,
+              {(a, bits): dfa.delta[(a, tuple(bits[new_tracks.index(t)] for t in old_tracks))]
+               for (a, bits) in al})
+    for i, t in enumerate(new_tracks):
+        if t not in old_tracks and _first_order(t):
+            out = intersect(out, _single_mark(new_tracks, base, (i,)))
+    return out.canonical()
+
+
+def _reference_less(tracks, base, xi, yi) -> Dfa:
+    """x marked once, and y marked once at a later position: subsets of
+    (x seen, y seen) flags, a second mark or a y not after x ending the run."""
+    def move(states, a):
+        bx, by = a[1][xi], a[1][yi]
+        return {(sx or bx, sy or by) for sx, sy in states
+                if not (bx and sx or by and (sy or not sx))}
+
+    return determinize(tracked_alphabet(base, len(tracks)), {(0, 0)}, move,
+                       lambda states: (1, 1) in states).canonical()
+
+
+def reference_marked_automaton(phi, variables, base) -> Dfa:
+    """The marked automaton by the plain construction: bound variables
+    renamed apart, a single-mark product at every lift (under `&` too),
+    `!` intersected with every first-order track's single-mark automaton,
+    and quantifiers projected by the subset construction."""
+    fresh = itertools.count()
+
+    def compile_(phi, env):
+        tag = phi[0]
+        if tag in ("true", "false"):
+            al = tracked_alphabet(base, 0)
+            return (universal_language(al) if tag == "true" else empty_language(al)), ()
+        if tag == "letter":
+            x = env(phi[2])
+            return _single_mark((x,), base, (0,), lambda b, bits: b == phi[1]), (x,)
+        if tag in ("less", "eq", "in"):
+            x, y = env(phi[1]), env(phi[2])
+            if x == y:
+                if tag == "in":
+                    raise MsoError("variable cannot be a member of itself")
+                one = _single_mark((x,), base, (0,))
+                return (one if tag == "eq" else empty_language(one.alphabet)), (x,)
+            tracks = tuple(sorted((x, y)))
+            xi, yi = tracks.index(x), tracks.index(y)
+            if tag == "less":
+                return _reference_less(tracks, base, xi, yi), tracks
+            if tag == "eq":
+                both = lambda b, bits: bits[xi] and bits[yi]
+                return _single_mark(tracks, base, (xi, yi), both), tracks
+            return _single_mark(tracks, base, (xi,), lambda b, bits: bits[yi]), tracks
+        if tag == "not":
+            sub, tracks = compile_(phi[1], env)
+            out = complement(sub)
+            for i, t in enumerate(tracks):
+                if _first_order(t):
+                    out = intersect(out, _single_mark(tracks, base, (i,)))
+            return out, tracks
+        if tag in ("and", "or"):
+            d1, t1 = compile_(phi[1], env)
+            d2, t2 = compile_(phi[2], env)
+            tracks = tuple(sorted(set(t1) | set(t2)))
+            d1, d2 = _reference_lift(d1, base, t1, tracks), _reference_lift(d2, base, t2, tracks)
+            return (intersect(d1, d2) if tag == "and" else union(d1, d2)), tracks
+        if tag == "exists":
+            v = ("%B" if is_so(phi[1]) else "%b") + str(next(fresh))
+            sub, tracks = compile_(phi[2], lambda name: v if name == phi[1] else env(name))
+            if v not in tracks:
+                if is_so(phi[1]):
+                    return sub, tracks
+                tracks2 = tuple(sorted(set(tracks) | {v}))
+                sub, tracks = _reference_lift(sub, base, tracks, tracks2), tracks2
+            i = tracks.index(v)
+            rest = tracks[:i] + tracks[i + 1:]
+            out = determinize(
+                tracked_alphabet(base, len(rest)), {sub.initial},
+                lambda s, a: {sub.delta[(a[0], a[1][:i] + (bit,) + a[1][i:])][q]
+                              for q in s for bit in (0, 1)},
+                lambda s: not sub.accepting.isdisjoint(s))
+            return out.canonical(), rest
+        raise MsoError("unknown node %r" % (tag,))
+
+    dfa, tracks = compile_(phi, lambda name: name)
+    return _reference_lift(dfa, base, tracks, tuple(variables))
 
 
 # ---------------------------------------------------------------------------

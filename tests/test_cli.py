@@ -509,13 +509,20 @@ FLAT_CHAINS = {   # name -> (text, word, value, whether growth reads degree 0 on
     "sum.zexpr": ("alphabet = a\n" + " + ".join(["ind(a)"] * 3000) + "\n", "a", 3000, True),
     "conjunction.zmso": ("alphabet = a b\ncount[x] " + " & ".join(["a(x)"] * 3000) + "\n",
                          "aba", 2, False),
+    "implication.zmso": ("alphabet = a b\ncount[x] " + " -> ".join(["a(x)"] * 3000) + "\n",
+                         "aba", 3, False),
+    "negation.zmso": ("alphabet = a b\ncount[x] " + "!" * 3000 + "a(x)\n", "aba", 2, False),
+    "stars.zexpr": ("alphabet = a\nind(a" + "*" * 3000 + ")\n", "aa", 1, True),
+    "complements.zexpr": ("alphabet = a\nind(" + "!" * 3000 + "a)\n", "a", 1, True),
+    "minus.zexpr": ("alphabet = a\n" + "- " * 3000 + "ind(a)\n", "a", 1, True),
 }
 
 
 @pytest.mark.parametrize("name", sorted(FLAT_CHAINS))
 def test_long_flat_chains_are_folded_without_recursion(files, capsys, name):
-    """3000 operands in one flat chain of '|', concatenation, '+' or '&'
-    are folded in a loop, past the interpreter's recursion limit."""
+    """3000 operands in one flat chain of '|', concatenation, '+', '&' or
+    '->', and 3000 prefix or postfix operators in a run ('!', '*', unary
+    '-'), are folded in a loop, past the interpreter's recursion limit."""
     text, word, value, degree_zero = FLAT_CHAINS[name]
     path = files(name, text)
     assert run(capsys, "eval", path, word) == (0, "%d\n" % value, "")
