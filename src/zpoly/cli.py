@@ -45,7 +45,7 @@ GROWTH_QUESTIONS = ("growth", "pump", "rt", "starfree")
 # Library errors that leave a question open within the budget (exit 2).
 UNDECIDED = (BudgetExhausted, PatternVerificationError, UncertainConstruction,
              StateBudgetExceeded, lang.MonoidTooLarge,
-             RecursionError)   # parentheses nested past the recursion limit (flat chains loop)
+             RecursionError)   # forests: _forest, _smooth and _band recurse once per tree level
 
 
 # ---------------------------------------------------------------------------

@@ -339,11 +339,11 @@ class PumpingPattern:
 # ---------------------------------------------------------------------------
 # expression surface syntax
 #
-#   file   :=  [ "alphabet" "=" letters ]  expr
-#   expr   :=  term (("+"|"-") term)*
-#   term   :=  factor ("." factor)*            -- "." is the Cauchy product
-#   factor :=  INT "*" factor | INT | "ind" "(" regex ")"
-#            | "star" "(" expr ")" | "(" expr ")"
+#   file    :=  [ "alphabet" "=" letters ]  expr
+#   infix   :=  "+" and "-" (precedence 1), "." (2, the Cauchy product), all
+#               left-associative
+#   prefix  :=  "-" and INT "*" (3); "-2" is one integer literal
+#   atoms   :=  INT | "ind" "(" regex ")" | "(" expr ")" | "star" "(" expr ")"
 #
 # A bare integer denotes the constant function (INT * the indicator of all
 # words).  star(...) is only available when compiling to a linear
@@ -365,61 +365,50 @@ def parse_expression(text: str):
     """
     alphabet, body = lang.parse_alphabet_header(text, ExprError)
     s = lang.Scanner(body, ExprError)
-    return alphabet, s.finish(_expr(s, alphabet))
 
-
-def _expr(s: lang.Scanner, alphabet: Alphabet):
-    return s.chain(lambda: _term(s, alphabet), {"+": "add", "-": "sub"})
-
-
-def _term(s: lang.Scanner, alphabet: Alphabet):
-    return s.chain(lambda: _factor(s, alphabet), {".": "cauchy"})
-
-
-def _factor(s: lang.Scanner, alphabet: Alphabet):
-    scales = []   # the prefixes `-` and `INT *`, read in a loop
-    while s.peek() == "-" or s.peek() in _DIGITS:
-        start = s.pos
-        s.pos += 1
-        while s.text[s.pos:s.pos + 1] in _DIGITS:
-            s.pos += 1
-        text = s.text[start:s.pos]
-        if text != "-" and not s.take("*"):
-            node = ("int", int(text))
-            break
-        scales.append(-1 if text == "-" else int(text))
-    else:
+    def operand():
         c = s.peek()
+        if c == "-" or c in _DIGITS:
+            start = s.pos
+            s.pos += 1
+            while s.text[s.pos:s.pos + 1] in _DIGITS:
+                s.pos += 1
+            literal = s.text[start:s.pos]
+            if literal == "-":
+                return 3, lambda e: ("scale", -1, e)
+            n = int(literal)
+            if s.take("*"):
+                return 3, lambda e: ("scale", n, e)
+            return ("int", n)
         if c is None:
             s.fail("unexpected end of expression")
         if s.take("("):
-            node = _expr(s, alphabet)
-            s.expect(")")
-        elif s.word("ind"):
+            return s.GROUP, lambda e: e
+        if s.word("ind"):
             s.expect("(")
             start = s.pos
-            lang.regex_union(s, alphabet)   # checked here, compiled by the fold
+            lang.read_regex(s, alphabet)   # checked here, compiled by the fold
             s.expect(")")
-            node = ("ind", s.text[start:s.pos - 1])
-        elif s.word("star"):
+            return ("ind", s.text[start:s.pos - 1])
+        if s.word("star"):
             s.expect("(")
-            node = ("star", _expr(s, alphabet))
-            s.expect(")")
-        else:
-            s.fail("unexpected character %r" % c)
-    for value in reversed(scales):
-        node = ("scale", value, node)
-    return node
+            return s.GROUP, lambda e: ("star", e)
+        s.fail("unexpected character %r" % c)
+
+    def infix():
+        if s.take("+"):
+            return 1, lambda x, y: ("add", x, y), False
+        if s.take("-"):
+            return 1, lambda x, y: ("sub", x, y), False
+        if s.take("."):
+            return 2, lambda x, y: ("cauchy", x, y), False
+        return None
+
+    return alphabet, s.finish(s.operators(operand, infix))
 
 
 def expression_uses_star(ast) -> bool:
-    stack = [ast]
-    while stack:
-        node = stack.pop()
-        if node[0] == "star":
-            return True
-        stack.extend([x for x in node[1:] if type(x) is tuple])
-    return False
+    return lang.fold(ast, lambda node, children: node[0] == "star" or any(children))
 
 
 def _fold_expression(alphabet: Alphabet, ast, indicator):
@@ -429,7 +418,7 @@ def _fold_expression(alphabet: Alphabet, ast, indicator):
     immutable, so repeated terms share one)."""
     indicators = {}   # regex text -> its indicator function
 
-    def fold(node):
+    def visit(node, children):
         tag = node[0]
         if tag == "ind":
             if node[1] not in indicators:
@@ -437,30 +426,20 @@ def _fold_expression(alphabet: Alphabet, ast, indicator):
             return indicators[node[1]]
         if tag == "int":
             return indicator(lang.universal_language(alphabet)).scale(node[1])
-        if tag == "scale":   # a run of scales is one product, folded in a loop
-            factor = 1
-            while node[0] == "scale":
-                factor, node = factor * node[1], node[2]
-            return fold(node).scale(factor)
+        if tag == "scale":
+            return children[0].scale(node[1])
         if tag in ("add", "sub", "cauchy"):
-            node, rest = lang.unchain(node, ("add", "sub", "cauchy"))
-            value = fold(node)
-            for tag, right in rest:
-                value = getattr(value, tag)(fold(right))
-            return value
+            return getattr(children[0], tag)(children[1])
         if tag == "star":
             if indicator is not series.indicator:
                 raise ExprError("star(...) requires compilation to a linear representation")
             try:
-                return fold(node[1]).star()
+                return children[0].star()
             except ValueError as exc:   # the iterated series is not proper
                 raise ExprError(str(exc)) from None
         raise ExprError("unknown node %r" % (tag,))
 
-    try:
-        return fold(ast)
-    finally:
-        del fold   # it refers to itself: free its cycle (and what it compiled) now
+    return lang.fold(ast, visit)
 
 
 def expression_to_cplc(alphabet: Alphabet, ast) -> Cplc:

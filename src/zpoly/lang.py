@@ -14,7 +14,7 @@ from __future__ import annotations
 import operator
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from math import lcm
 
 
@@ -299,9 +299,13 @@ _IDENT_CHARS = _IDENT_START | frozenset("0123456789")
 
 
 class Scanner:
-    """A cursor over a source text for recursive-descent parsers.  Blanks
+    """A cursor over a source text, with one operator-precedence reader,
+    `operators`, for the grammars of the three surface syntaxes.  Blanks
     between tokens are skipped; every error is raised as `error` with the
     position it was found at."""
+
+    # the precedence of a group: below every operator, so only its ')' ends it
+    GROUP = -1
 
     def __init__(self, text: str, error):
         self.text = text
@@ -348,15 +352,45 @@ class Scanner:
             self.pos += 1
         return self.text[start:self.pos]
 
-    def chain(self, operand, ops: dict):
-        """operand (op operand)*, folded to the left; `ops` maps each
-        operator symbol to its AST tag."""
-        node = operand()
+    def operators(self, operand, infix):
+        """The expression at the scanner's position, up to the first token
+        that `infix` does not read and that closes no group of its own.
+
+        `operand()` reads an atom (an AST tuple, tagged with a string), a
+        prefix operator `(prec, build)`, or a group `(Scanner.GROUP, build)`
+        that `)` closes; `build` makes the node of the operator's operand.
+        `infix()` reads a binary operator `(prec, build, right_assoc)`, a
+        postfix operator `build`, which binds tighter than any other, or
+        nothing (None).  An operator takes as its right operand everything
+        up to the next binary operator of lower precedence (of lower or equal
+        precedence where it is left-associative): a prefix operator of
+        precedence 0 reaches as far right as it can.  One stack keeps the
+        operators still waiting for their right operand, so neither nesting
+        depth nor chain length costs recursion."""
+        pending = []   # (prec, build of the right operand), innermost last
         while True:
-            tag = next((ops[op] for op in ops if self.take(op)), None)
-            if tag is None:
-                return node
-            node = (tag, node, operand())
+            item = operand()
+            if type(item[0]) is int:
+                pending.append(item)
+                continue
+            value = item
+            while True:   # after an operand
+                op = infix()
+                if callable(op):
+                    value = op(value)
+                    continue
+                prec, build, right_assoc = op or (0, None, False)
+                # the operators waiting that bind tighter take `value` as their operand
+                floor = prec + 1 if right_assoc else prec
+                while pending and pending[-1][0] >= floor:
+                    value = pending.pop()[1](value)
+                if build is not None:
+                    pending.append((prec, partial(build, value)))
+                    break
+                if not pending:
+                    return value
+                self.expect(")")   # what is left on top is an open group
+                value = pending.pop()[1](value)
 
     def finish(self, node):
         """`node`, after checking that nothing but blanks follows."""
@@ -365,27 +399,33 @@ class Scanner:
         return node
 
 
-def unchain(node, tags):
-    """(first, rest) of a chain that `Scanner.chain` folded to the left:
-    `first` is its leftmost operand, and `rest` the (tag, operand) pairs
-    after it, in order.  Walking `rest` in a loop lets a long flat chain
-    be folded without recursion."""
-    rest = []
-    while node[0] in tags:
-        rest.append((node[0], node[2]))
-        node = node[1]
-    return node, rest[::-1]
+def fold(node, visit):
+    """Fold a tuple AST children first: `visit(node, values)` gets the
+    values of the node's children, its tuple fields, in order, and the
+    value of the root is returned.  The walk keeps its own stack, so the
+    depth of the tree costs no recursion."""
+    values = []   # the values of the subtrees folded so far, in order
+    todo = [(node, None)]
+    while todo:
+        node, arity = todo.pop()
+        if arity is None:
+            children = [x for x in node[1:] if type(x) is tuple]
+            todo.append((node, len(children)))
+            todo.extend([(child, None) for child in reversed(children)])
+        else:
+            cut = len(values) - arity
+            value = visit(node, values[cut:])
+            del values[cut:]
+            values.append(value)
+    return values[0]
 
 
 # ---------------------------------------------------------------------------
 # regex surface syntax
 #
-# grammar:   union:   e  ::= e1 ('|' e1)*
-#            inter:   e1 ::= e2 ('&' e2)*
-#            concat:  e2 ::= e3+
-#            unary:   e3 ::= atom '*'*  |  '!' e3
-#            atom:    letter | '(' e ')' | '()' (empty word) | '∅'
-# '!' applies to the starred operand after it: "!a*" is !(a*).
+# precedence, loosest first:  '|'  '&'  juxtaposition (concatenation)
+# then prefix '!', then postfix '*', so "!a*" is !(a*) and "!ab" is (!a)b.
+# atoms:  letter | '(' e ')' | '()' (the empty word) | '∅' (and '0' unless a letter)
 
 
 class RegexError(ValueError):
@@ -399,87 +439,60 @@ EPS = ("eps",)
 def parse_regex(text: str, alphabet: Alphabet):
     """Parse the regex surface syntax into a small tuple AST."""
     s = Scanner(text, RegexError)
-    return s.finish(regex_union(s, alphabet))
+    return s.finish(read_regex(s, alphabet))
 
 
-def regex_union(s: Scanner, alphabet: Alphabet):
+def read_regex(s: Scanner, alphabet: Alphabet):
     """The regex starting at the scanner's position; it ends before the
     first ')' that it does not open itself."""
-    return s.chain(lambda: _regex_inter(s, alphabet), {"|": "or"})
-
-
-def _regex_inter(s: Scanner, alphabet: Alphabet):
-    return s.chain(lambda: _regex_concat(s, alphabet), {"&": "and"})
-
-
-def _regex_concat(s: Scanner, alphabet: Alphabet):
-    node = _regex_unary(s, alphabet)
-    while s.peek() not in (None, "|", "&", ")"):
-        node = ("cat", node, _regex_unary(s, alphabet))
-    return node
-
-
-def _regex_unary(s: Scanner, alphabet: Alphabet):
-    negations = 0
-    while s.take("!"):
-        negations += 1
-    node = _regex_atom(s, alphabet)
-    while s.take("*"):
-        node = ("star", node)
-    for _ in range(negations):
-        node = ("not", node)
-    return node
-
-
-def _regex_atom(s: Scanner, alphabet: Alphabet):
-    c = s.peek()
-    if c is None:
-        s.fail("unexpected end of regex")
-    if s.take("("):
-        if s.take(")"):
-            return EPS
-        node = regex_union(s, alphabet)
-        s.expect(")")
+    def operand():
+        c = s.peek()
+        if c is None:
+            s.fail("unexpected end of regex")
+        if s.take("!"):
+            return 4, lambda e: ("not", e)
+        if s.take("("):
+            return EPS if s.take(")") else (Scanner.GROUP, lambda e: e)
+        if c == "∅" or c == "0" and "0" not in alphabet:
+            node = EMPTY
+        elif c in alphabet:
+            node = ("lit", c)
+        else:
+            s.fail("unexpected character %r" % c)
+        s.pos += 1
         return node
-    if c == "∅" or c == "0" and "0" not in alphabet:
-        node = EMPTY
-    elif c in alphabet:
-        node = ("lit", c)
-    else:
-        s.fail("unexpected character %r" % c)
-    s.pos += 1
-    return node
+
+    def infix():
+        if s.take("*"):
+            return lambda e: ("star", e)
+        if s.take("|"):
+            return 1, lambda x, y: ("or", x, y), False
+        if s.take("&"):
+            return 2, lambda x, y: ("and", x, y), False
+        if s.peek() in (None, ")"):
+            return None
+        return 3, lambda x, y: ("cat", x, y), False
+
+    return s.operators(operand, infix)
 
 
 def regex_to_dfa(node, alphabet: Alphabet) -> Dfa:
     """Compile a regex AST to its canonical minimal DFA."""
-    tag = node[0]
-    if tag == "empty":
-        return empty_language(alphabet)
-    if tag == "eps":
-        return epsilon_language(alphabet)
-    if tag == "lit":
-        return letter_language(alphabet, node[1])
-    if tag in ("or", "and", "cat"):
-        node, rest = unchain(node, ("or", "and", "cat"))
-        dfa = regex_to_dfa(node, alphabet)
-        for tag, right in rest:
-            op = union if tag == "or" else intersect if tag == "and" else concat
-            dfa = op(dfa, regex_to_dfa(right, alphabet))
-        return dfa
-    if tag in ("not", "star"):
-        ops = []   # a run of unary operators, outermost first: !!e = e, (e*)* = e*
-        while node[0] in ("not", "star"):
-            if ops[-1:] != [node[0]]:
-                ops.append(node[0])
-            elif node[0] == "not":
-                ops.pop()
-            node = node[1]
-        dfa = regex_to_dfa(node, alphabet)
-        for unary in reversed(ops):
-            dfa = complement(dfa) if unary == "not" else star(dfa)
-        return dfa
-    raise RegexError("unknown AST node %r" % (tag,))
+    ops = {"not": complement, "star": star, "or": union, "and": intersect, "cat": concat}
+
+    def visit(node, children):
+        tag = node[0]
+        if tag == "empty":
+            return empty_language(alphabet)
+        if tag == "eps":
+            return epsilon_language(alphabet)
+        if tag == "lit":
+            return letter_language(alphabet, node[1])
+        if tag in ops:
+            return ops[tag](*children)
+        raise RegexError("unknown AST node %r" % (tag,))
+
+    return fold(node, visit)
 
 
 def parse_alphabet_header(text: str, error):

@@ -50,36 +50,20 @@ def is_so(name: str) -> bool:
 #   ('not', p)  ('and', p, q)  ('or', p, q)  ('exists', v, p)
 
 
-def _operands(phi, tag) -> list:
-    """The operands of a tree of `tag` nodes, left to right: `&` and `|` are
-    associative, so one loop reads a chain however it nests."""
-    out, todo = [], [phi]
-    while todo:
-        node = todo.pop()
-        if node[0] == tag:
-            todo += (node[2], node[1])
-        else:
-            out.append(node)
-    return out
-
-
 def free_vars(phi) -> frozenset:
-    out = set()
-    todo = [(phi, frozenset())]   # (node, the variables bound above it)
-    while todo:
-        node, bound = todo.pop()
+    def visit(node, children):
         tag = node[0]
         if tag == "letter":
-            out.update({node[2]} - bound)
-        elif tag in ("less", "eq", "in"):
-            out.update({node[1], node[2]} - bound)
-        elif tag in ("not", "and", "or"):
-            todo.extend((child, bound) for child in node[1:])
-        elif tag == "exists":
-            todo.append((node[2], bound | {node[1]}))
-        elif tag not in ("true", "false"):
-            raise MsoError("unknown node %r" % (tag,))
-    return frozenset(out)
+            return frozenset([node[2]])
+        if tag in ("less", "eq", "in"):
+            return frozenset(node[1:])
+        if tag == "exists":
+            return children[0] - {node[1]}
+        if tag in ("not", "and", "or", "true", "false"):
+            return frozenset().union(*children)
+        raise MsoError("unknown node %r" % (tag,))
+
+    return lang.fold(phi, visit)
 
 
 # ---------------------------------------------------------------------------
@@ -184,66 +168,59 @@ def _compile(phi, shared: _Shared):
     is not canonical yet.  Invariant: the language is well-marked on its
     first-order tracks.  Bound variables need no renaming apart: `exists`
     projects its variable's track away, so nothing outside it sees it."""
-    tag = phi[0]
-    if tag in ("true", "false"):
-        al = shared.alphabet(0)
-        d = lang.universal_language(al) if tag == "true" else lang.empty_language(al)
-        return d, ()
-    if tag == "letter":
-        return _single_mark(shared.alphabet(1), (0,), lambda b, bits: b == phi[1]), (phi[2],)
-    if tag in ("less", "eq", "in"):
-        x, y = phi[1], phi[2]
-        if x == y:
-            if tag == "eq":
-                return _single_mark(shared.alphabet(1), (0,)), (x,)
+    def visit(node, children):
+        tag = node[0]
+        if tag in ("true", "false"):
+            al = shared.alphabet(0)
+            d = lang.universal_language(al) if tag == "true" else lang.empty_language(al)
+            return d, ()
+        if tag == "letter":
+            return _single_mark(shared.alphabet(1), (0,), lambda b, bits: b == node[1]), (node[2],)
+        if tag in ("less", "eq", "in"):
+            x, y = node[1], node[2]
+            if x == y:
+                if tag == "eq":
+                    return _single_mark(shared.alphabet(1), (0,)), (x,)
+                if tag == "less":
+                    return lang.empty_language(shared.alphabet(1)), (x,)
+                raise MsoError("variable cannot be a member of itself")
+            tracks = tuple(sorted((x, y)))
+            al, xi, yi = shared.alphabet(2), tracks.index(x), tracks.index(y)
             if tag == "less":
-                return lang.empty_language(shared.alphabet(1)), (x,)
-            raise MsoError("variable cannot be a member of itself")
-        tracks = tuple(sorted((x, y)))
-        al, xi, yi = shared.alphabet(2), tracks.index(x), tracks.index(y)
-        if tag == "less":
-            return _atom_less(al, xi, yi), tracks
-        if tag == "eq":   # one position carries both marks
-            return _single_mark(al, (xi, yi), lambda b, bits: bits[xi] and bits[yi]), tracks
-        return _single_mark(al, (xi,), lambda b, bits: bits[yi]), tracks
-    if tag == "not":
-        # a run of negations folds to its parity: WM & !(WM & !L) = L for a well-marked L
-        negations = 0
-        while phi[0] == "not":
-            phi, negations = phi[1], negations + 1
-        sub, tracks = _compile(phi, shared)
-        if negations % 2:
-            sub = lang.intersect(lang.complement(sub), shared.well_marked(tracks))
-        return sub, tracks
-    if tag in ("and", "or"):
-        # a conjunct marks its own tracks, so an `&` lift only cylindrifies
-        first, *rest = _operands(phi, tag)
-        d1, t1 = _compile(first, shared)
-        for right in rest:
-            d2, t2 = _compile(right, shared)
+                return _atom_less(al, xi, yi), tracks
+            if tag == "eq":   # one position carries both marks
+                return _single_mark(al, (xi, yi), lambda b, bits: bits[xi] and bits[yi]), tracks
+            return _single_mark(al, (xi,), lambda b, bits: bits[yi]), tracks
+        if tag == "not":
+            [(sub, tracks)] = children
+            return lang.intersect(lang.complement(sub), shared.well_marked(tracks)), tracks
+        if tag in ("and", "or"):
+            # a conjunct marks its own tracks, so an `&` lift only cylindrifies
+            (d1, t1), (d2, t2) = children
             tracks = tuple(sorted(set(t1) | set(t2)))
-            d1 = (lang.intersect if tag == "and" else lang.union)(
+            out = (lang.intersect if tag == "and" else lang.union)(
                 shared.lift(d1, t1, tracks, tag == "or"), shared.lift(d2, t2, tracks, tag == "or"))
-            t1 = tracks
-            if d1.n > STATE_CAP:
+            if out.n > STATE_CAP:
                 raise MsoError("state cap exceeded while compiling")
-        return d1, t1
-    if tag == "exists":
-        v = phi[1]
-        sub, tracks = _compile(phi[2], shared)
-        if v not in tracks:
-            # quantifying a variable that does not occur: a first-order
-            # witness needs a position, so conjoin a fresh single-mark track
-            if is_so(v):
-                return sub, tracks
-            tracks2 = tuple(sorted(set(tracks) | {v}))
-            sub, tracks = shared.lift(sub, tracks, tracks2, True), tracks2
-        i = tracks.index(v)
-        out = shared.project(sub, tracks, i)
-        if out.n > STATE_CAP:
-            raise MsoError("state cap exceeded while compiling")
-        return out, tracks[:i] + tracks[i + 1:]
-    raise MsoError("unknown node %r" % (tag,))
+            return out, tracks
+        if tag == "exists":
+            v = node[1]
+            [(sub, tracks)] = children
+            if v not in tracks:
+                # quantifying a variable that does not occur: a first-order
+                # witness needs a position, so conjoin a fresh single-mark track
+                if is_so(v):
+                    return sub, tracks
+                tracks2 = tuple(sorted(set(tracks) | {v}))
+                sub, tracks = shared.lift(sub, tracks, tracks2, True), tracks2
+            i = tracks.index(v)
+            out = shared.project(sub, tracks, i)
+            if out.n > STATE_CAP:
+                raise MsoError("state cap exceeded while compiling")
+            return out, tracks[:i] + tracks[i + 1:]
+        raise MsoError("unknown node %r" % (tag,))
+
+    return lang.fold(phi, visit)
 
 
 def compile_marked_automaton(phi, variables, base: Alphabet) -> Dfa:
@@ -356,8 +333,11 @@ def count_to_cplc(phi, variables, base: Alphabet) -> Cplc:
 # ---------------------------------------------------------------------------
 # surface syntax:  count[x,y] a(x) & b(y) & x < y
 #
-# precedence:  ->  |  &  !,  quantifiers reach as far right as possible.
-# sugar: <=, >=, >, !=, succ(x,y), first(x), last(x), forall v. phi.
+# precedence, loosest first:  '->' 1 (right-associative), '|' 2, '&' 3,
+# prefix '!' 4; the prefixes `exists v.` and `forall v.` have precedence 0,
+# so a quantifier reaches as far right as it can.
+# sugar: <=, >=, >, !=, succ(x,y), first(x), last(x), forall v. phi; succ,
+# first and last bind the helper variable `%z`, which no identifier spells.
 
 
 class _FormulaParser(lang.Scanner):
@@ -376,38 +356,31 @@ class _FormulaParser(lang.Scanner):
         return names
 
     def formula(self):
-        """`->` nests to the right; its operands are read in a loop."""
-        parts = [self.chain(self.conjunction, {"|": "or"})]
-        while self.take("->"):
-            parts.append(self.chain(self.conjunction, {"|": "or"}))
-        node = parts.pop()
-        for left in reversed(parts):
-            node = ("or", ("not", left), node)
-        return node
+        return self.operators(self.operand, self.infix)
 
-    def conjunction(self):
-        return self.chain(self.unary, {"&": "and"})
-
-    def unary(self):
-        negations = 0
-        while self.take("!"):
-            negations += 1
+    def operand(self):
+        if self.take("!"):
+            return 4, lambda p: ("not", p)
         if self.word("exists"):
             v = self.ident()
             self.expect(".")
-            node = ("exists", v, self.formula())
-        elif self.word("forall"):
+            return 0, lambda p: ("exists", v, p)
+        if self.word("forall"):
             v = self.ident()
             self.expect(".")
-            node = ("not", ("exists", v, ("not", self.formula())))
-        elif self.take("("):
-            node = self.formula()
-            self.expect(")")
-        else:
-            node = self.atom()
-        for _ in range(negations):
-            node = ("not", node)
-        return node
+            return 0, lambda p: ("not", ("exists", v, ("not", p)))
+        if self.take("("):
+            return self.GROUP, lambda p: p
+        return self.atom()
+
+    def infix(self):
+        if self.take("->"):
+            return 1, lambda p, q: ("or", ("not", p), q), True
+        if self.take("|"):
+            return 2, lambda p, q: ("or", p, q), False
+        if self.take("&"):
+            return 3, lambda p, q: ("and", p, q), False
+        return None
 
     def atom(self):
         if self.word("true"):
@@ -417,9 +390,9 @@ class _FormulaParser(lang.Scanner):
         if self.word("succ"):
             return _succ(*self.arguments(2))
         if self.word("first"):
-            return ("not", ("exists", "_z", ("less", "_z", *self.arguments(1))))
+            return ("not", ("exists", "%z", ("less", "%z", *self.arguments(1))))
         if self.word("last"):
-            return ("not", ("exists", "_z", ("less", *self.arguments(1), "_z")))
+            return ("not", ("exists", "%z", ("less", *self.arguments(1), "%z")))
         name = self.ident()
         if name in self.alphabet and self.peek() == "(":
             return ("letter", name, *self.arguments(1))
@@ -445,8 +418,8 @@ class _FormulaParser(lang.Scanner):
 
 def _succ(x, y):
     return ("and", ("less", x, y),
-            ("not", ("exists", "_z", ("and", ("less", x, "_z"),
-                                      ("less", "_z", y)))))
+            ("not", ("exists", "%z", ("and", ("less", x, "%z"),
+                                      ("less", "%z", y)))))
 
 
 def parse_count(text: str):

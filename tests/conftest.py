@@ -907,18 +907,18 @@ class _OracleFormulaParser:
             y = self.ident()
             self.expect_sym(")")
             return ("and", ("less", x, y),
-                    ("not", ("exists", "_z", ("and", ("less", x, "_z"),
-                                              ("less", "_z", y)))))
+                    ("not", ("exists", "%z", ("and", ("less", x, "%z"),
+                                              ("less", "%z", y)))))
         if self.try_word("first"):
             self.expect_sym("(")
             x = self.ident()
             self.expect_sym(")")
-            return ("not", ("exists", "_z", ("less", "_z", x)))
+            return ("not", ("exists", "%z", ("less", "%z", x)))
         if self.try_word("last"):
             self.expect_sym("(")
             x = self.ident()
             self.expect_sym(")")
-            return ("not", ("exists", "_z", ("less", x, "_z")))
+            return ("not", ("exists", "%z", ("less", x, "%z")))
         name = self.ident()
         self.skip_ws()
         if self.peek() == "(" and name in self.alphabet:

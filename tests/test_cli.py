@@ -74,6 +74,16 @@ def test_eval_mso(files, capsys):
     assert code == 0 and out.strip() == "4"
 
 
+@pytest.mark.parametrize("formula, value", [("count[_z,y] succ(_z,y)", 2),
+                                            ("count[_z] first(_z)", 1),
+                                            ("count[_z] last(_z)", 1)])
+def test_sugar_captures_no_user_variable(files, capsys, formula, value):
+    """succ, first and last bind a helper variable that no identifier can
+    spell, so a user variable named `_z` is counted like any other."""
+    path = files("sugar.zmso", "alphabet = a b\n" + formula + "\n")
+    assert run(capsys, "eval", path, "aab") == (0, "%d\n" % value, "")
+
+
 def test_compile_and_json_round_trip(files, capsys, tmp_path):
     path = files("wa.zexpr", COUNT_A_ZEXPR)
     code, out, _ = run(capsys, "compile", path, "--target", "linrep",
@@ -496,11 +506,35 @@ def test_monoid_too_large_is_undecided(files, capsys, monkeypatch):
     assert code == 2 and "undecided: monoid closure exceeded" in out
 
 
-@pytest.mark.parametrize("command", ["growth", "starfree"])
-def test_input_nested_past_the_recursion_limit_is_undecided(files, capsys, command):
-    path = files("deep.zexpr", "alphabet = a\nind(" + "(" * 3000 + "a" + ")" * 3001 + "\n")
-    code, out, err = run(capsys, command, path)
-    assert code == 2 and out.startswith("undecided: ") and not err
+DEEP = {   # name -> (text, word, value, growth degree): input nested 3000 deep
+    "regex.zexpr": ("alphabet = a\nind(" + "(" * 3000 + "a" + ")" * 3001 + "\n", "a", 1, 0),
+    "parentheses.zexpr": ("alphabet = a\n" + "(" * 3000 + "ind(a)" + ")" * 3000 + "\n",
+                          "a", 1, 0),
+    "sums.zexpr": ("alphabet = a\n" + "(ind(a) + " * 3000 + "ind(a)" + ")" * 3000 + "\n",
+                   "a", 3001, 0),
+    "parentheses.zmso": ("alphabet = a b\ncount[x] " + "(" * 3000 + "a(x)" + ")" * 3000 + "\n",
+                         "aba", 2, 1),
+    "negations.zmso": ("alphabet = a b\ncount[x] " + "!(" * 3000 + "a(x)" + ")" * 3000 + "\n",
+                       "aba", 2, 1),
+    "exists.zmso": ("alphabet = a b\ncount[x] " + "exists y. " * 3000 + "a(x)\n", "aba", 2, 1),
+    "conjunctions.zmso": ("alphabet = a b\ncount[x] " + "(a(x) & " * 3000 + "a(x)"
+                          + ")" * 3000 + "\n", "aba", 2, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEEP))
+def test_input_nested_past_the_recursion_limit_is_decided(files, capsys, name):
+    """Parentheses, right-nested '+' and '&', '!(' and quantifiers nested
+    3000 deep, past the interpreter's recursion limit, are read and folded
+    with explicit stacks."""
+    text, word, value, degree = DEEP[name]
+    path = files(name, text)
+    assert run(capsys, "eval", path, word) == (0, "%d\n" % value, "")
+    code, out, _ = run(capsys, "growth", path)
+    assert code == 0 and out.startswith("degree %d\n" % degree)
+    if name == "regex.zexpr":
+        code, out, _ = run(capsys, "starfree", path)
+        assert code == 0 and out.startswith("star-free\n")
 
 
 FLAT_CHAINS = {   # name -> (text, word, value, whether growth reads degree 0 on it)
@@ -522,7 +556,8 @@ FLAT_CHAINS = {   # name -> (text, word, value, whether growth reads degree 0 on
 def test_long_flat_chains_are_folded_without_recursion(files, capsys, name):
     """3000 operands in one flat chain of '|', concatenation, '+', '&' or
     '->', and 3000 prefix or postfix operators in a run ('!', '*', unary
-    '-'), are folded in a loop, past the interpreter's recursion limit."""
+    '-'), are read and folded one node at a time, past the interpreter's
+    recursion limit."""
     text, word, value, degree_zero = FLAT_CHAINS[name]
     path = files(name, text)
     assert run(capsys, "eval", path, word) == (0, "%d\n" % value, "")

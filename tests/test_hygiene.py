@@ -9,7 +9,10 @@ Every `SearchBudget` field is read somewhere in src/zpoly.  No public
 function or method takes a `_`-prefixed parameter: a private knob belongs
 to a private helper, not to the public signature.  No module binds a
 dict, list or set at module level (`__all__` aside): a memo belongs to
-`functools.cache`, and a module's state to no one.
+`functools.cache`, and a module's state to no one.  No function of the
+modules that read and fold the surface syntaxes calls itself, directly or
+through other functions of its module, outside a short list of recursions
+with a stated bound: the depth of the input is never the depth of a call.
 """
 
 import ast
@@ -184,3 +187,63 @@ def test_no_module_binds_a_mutable_container(path):
         if names != ["__all__"] and is_mutable_container(node.value):
             found.append("%s (line %d)" % (" = ".join(names), node.lineno))
     assert not found, "%s binds module-level containers: %s" % (path.name, ", ".join(found))
+
+
+
+# the functions that may call themselves -> what bounds the depth of their calls
+BOUNDED_RECURSION = {
+    "cplc._expand_epsilon": "the factors of one term",
+    "mso._cplc_from_marked": "the declared variables",
+}
+
+
+def call_graph(tree):
+    """Qualified name -> the qualified names of the functions of the same
+    module that its body calls or passes on (lambdas included, nested
+    functions apart).  A bare name stands for each function of that name
+    nested in the function or an enclosing one, or defined at module level;
+    `self.m` stands for the method `m` of the enclosing class."""
+    uses_of = {}
+    todo = [(node, "", (), None) for node in tree.body]   # (node, prefix, scopes, class)
+    while todo:
+        node, prefix, scopes, cls = todo.pop()
+        if isinstance(node, ast.ClassDef):
+            cls = prefix + node.name
+            todo.extend((item, cls + ".", scopes, cls) for item in node.body)
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        name = prefix + node.name
+        uses, body = set(), list(node.body)
+        while body:
+            item = body.pop()
+            if isinstance(item, (ast.FunctionDef, ast.ClassDef)):
+                todo.append((item, name + ".", scopes + (name + ".",), None))
+                continue
+            body.extend(ast.iter_child_nodes(item))
+            if isinstance(item, ast.Name):
+                uses.update(scope + item.id for scope in (name + ".",) + scopes + ("",))
+            elif (isinstance(item, ast.Attribute) and isinstance(item.value, ast.Name)
+                  and item.value.id == "self" and cls is not None):
+                uses.add("%s.%s" % (cls, item.attr))
+        uses_of[name] = uses
+    return {name: uses & set(uses_of) for name, uses in uses_of.items()}
+
+
+@pytest.mark.parametrize("module", ["lang", "cplc", "mso"])
+def test_no_function_recurses_without_a_stated_bound(module):
+    """The depth of a call never follows the depth of the input: only the
+    functions in BOUNDED_RECURSION reach themselves, and each of them does."""
+    graph = call_graph(parse(PACKAGE / (module + ".py")))
+    recursive = set()
+    for name in graph:
+        seen, todo = set(), list(graph[name])
+        while todo:
+            callee = todo.pop()
+            if callee not in seen:
+                seen.add(callee)
+                todo.extend(graph[callee])
+        if name in seen:
+            recursive.add("%s.%s" % (module, name))
+    allowed = {name for name in BOUNDED_RECURSION if name.startswith(module + ".")}
+    assert recursive == allowed, "%s: functions that call themselves: %s" % (
+        module, ", ".join(sorted(recursive - allowed)))

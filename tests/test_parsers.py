@@ -1,6 +1,8 @@
 """The three surface syntaxes (regex, .zexpr, .zmso) over the shared
 `lang.Scanner`, checked against the standalone parsers kept in conftest."""
 
+import re
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -159,11 +161,55 @@ def test_scanner_keywords_and_chains():
     with pytest.raises(ValueError, match="trailing input at position 11"):
         s.finish(None)
 
-    def digit():
+
+def read_arithmetic(text):
+    """`Scanner.operators` on digits with '+' and '-' (1), '*' (2), '^' (3,
+    right-associative), prefix '~' (2) and 'let.' (0), postfix '!' and
+    parentheses."""
+    s = Scanner(text, ValueError)
+
+    def operand():
+        if s.take("~"):
+            return 2, lambda e: ("neg", e)
+        if s.word("let"):
+            s.expect(".")
+            return 0, lambda e: ("let", e)
+        if s.take("("):
+            return s.GROUP, lambda e: e
         c = s.peek()
         s.pos += 1
         return ("n", int(c))
 
-    s = Scanner("1 - 2 + 3", ValueError)
-    assert s.finish(s.chain(digit, {"+": "add", "-": "sub"})) == \
-        ("add", ("sub", ("n", 1), ("n", 2)), ("n", 3))
+    def infix():
+        if s.take("!"):
+            return lambda e: ("fact", e)
+        for sym, prec, right in (("+", 1, False), ("-", 1, False), ("*", 2, False),
+                                 ("^", 3, True)):
+            if s.take(sym):
+                return prec, lambda x, y: (sym, x, y), right
+        return None
+
+    return s.finish(s.operators(operand, infix))
+
+
+@pytest.mark.parametrize("text, ast", [
+    ("1 - 2 + 3", ("+", ("-", ("n", 1), ("n", 2)), ("n", 3))),       # left-associative
+    ("1 ^ 2 ^ 3", ("^", ("n", 1), ("^", ("n", 2), ("n", 3)))),       # right-associative
+    ("1 + 2 * 3 ^ 4", ("+", ("n", 1), ("*", ("n", 2), ("^", ("n", 3), ("n", 4))))),
+    ("~1 * 2 + 3", ("+", ("*", ("neg", ("n", 1)), ("n", 2)), ("n", 3))),
+    ("~1 ^ 2", ("neg", ("^", ("n", 1), ("n", 2)))),                  # prefix over a tighter infix
+    ("1 * let. 2 + 3 * 4", ("*", ("n", 1), ("let", ("+", ("n", 2), ("*", ("n", 3), ("n", 4)))))),
+    ("~2!", ("neg", ("fact", ("n", 2)))),                            # postfix binds tightest
+    ("(1 + 2)! * (let. 3 - 4)", ("*", ("fact", ("+", ("n", 1), ("n", 2))),
+                                 ("let", ("-", ("n", 3), ("n", 4))))),
+    ("((((5))))", ("n", 5)),
+])
+def test_scanner_operators(text, ast):
+    assert read_arithmetic(text) == ast
+
+
+@pytest.mark.parametrize("text, message", [("(1 + 2", "expected ')' at position 6"),
+                                           ("1 + 2)", "trailing input at position 5")])
+def test_scanner_operators_match_parentheses(text, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read_arithmetic(text)
